@@ -17,10 +17,9 @@ from .geometry import Cell, Shape, make_shape
 from .packing import Board, default_board, is_maximal, validate
 from .render import render_ascii, render_svg
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceededError,
-                     OracleGuardError, clumsy_number, default_threads,
-                     oracle_clumsy_number)
-from .theorems import (TheoremId, check_theorem, formula_value, route,
-                       ConstructionError, HypothesisError)
+                     OracleGuardError, clumsy_number, oracle_clumsy_number)
+from .theorems import (TheoremId, check_theorem, formula_value, instance_of,
+                       route, ConstructionError, HypothesisError)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -113,8 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     solve.add_argument("--time-budget", type=float, default=None,
                        help="wall-clock limit in seconds")
-    solve.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default: CLUMSY_THREADS or CPU count)")
     solve.add_argument("--out", default=None, help="write the witness to this file")
 
     verify = subs.add_parser("verify", help="check an arrangement file")
@@ -151,12 +148,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_solve(args: argparse.Namespace) -> int:
     shape = _shape_from_args(args)
     board = _board_from_args(args, shape)
-    threads = args.threads if args.threads else default_threads()
     try:
         result = clumsy_number(shape, board, args.mode,
                                node_budget=args.node_budget,
-                               time_budget=args.time_budget,
-                               threads=threads)
+                               time_budget=args.time_budget)
     except BudgetExceededError as exc:
         upper = "?" if exc.upper is None else exc.upper
         print(f"budget exhausted after {exc.nodes} nodes: "
@@ -280,13 +275,8 @@ def _scan_rows(scan_id: str, limit: int):
             for b in range(1, a):
                 if a + b + 1 > limit:
                     continue
-                # The wide orientation (top arm longer than the column) is
-                # built from explicit cells; the L constructor only takes a <= b.
-                cells = [Cell(i, 1) for i in range(1, a + 2)]
-                cells += [Cell(1, j) for j in range(2, b + 2)]
-                shape = make_shape("custom", (), custom_cells=cells, anchor=Cell(1, 1))
-                yield (shape, Board(a + b + 1), "fixed",
-                       f"L-wide({a},{b}) fixed",
+                shape, board, mode = instance_of(TheoremId.CONJ_L_FIXED, (a, b))
+                yield (shape, board, mode, f"L-wide({a},{b}) fixed",
                        formula_value(TheoremId.CONJ_L_FIXED, a, b))
     elif scan_id == "R-free":
         for a in range(1, limit + 1):

@@ -15,11 +15,8 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .geometry import Cell, Shape, make_shape, rotate
+from .geometry import FAMILIES, Cell, Shape, make_shape, rotate
 from .packing import Arrangement, Board, Placement
-
-FORMAT_FAMILIES = ("rect", "straight-v", "straight-h", "L", "T", "plus",
-                   "gen-T", "gen-plus", "custom")
 
 
 class FileFormatError(ValueError):
@@ -118,9 +115,9 @@ def loads(text: str) -> ArrangementFile:
         raise FileFormatError(f"board_n must be positive, got {board_n}")
 
     family = body["family"]
-    if family not in FORMAT_FAMILIES:
+    if family not in FAMILIES:
         raise FileFormatError(
-            f"unknown family {family!r}; expected one of {', '.join(FORMAT_FAMILIES)}")
+            f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
 
     raw_params = body["params"]
     if not isinstance(raw_params, list):

@@ -14,9 +14,7 @@ the definition so the two routes can be compared in tests.
 from __future__ import annotations
 
 import itertools
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .geometry import Cell, Shape, rotate
@@ -24,9 +22,6 @@ from .packing import (Arrangement, Board, Placement, cells_of, default_board,
                       placement_masks, validate)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
-
-# Below this many placements, forking workers costs more than it saves.
-PARALLEL_THRESHOLD = 150
 
 
 class BudgetExceededError(RuntimeError):
@@ -178,17 +173,6 @@ def _symmetry_firsts(shape: Shape, board: Board, mode: str, p: int) -> tuple[int
     return tuple(firsts)
 
 
-def _search_chunk(args: tuple) -> tuple[tuple[int, ...] | None, int]:
-    """Worker body: run the lex search over one slice of first indices."""
-    nbr, p, k, firsts, node_budget = args
-    budget = _Budget(node_budget, None)
-    try:
-        got = _lex_search(nbr, p, k, firsts, budget)
-    except _BudgetSignal:
-        return None, -budget.nodes
-    return got, budget.nodes
-
-
 def greedy_upper_bound(shape: Shape, board: Board | None = None,
                        mode: str = "free",
                        seed: tuple[Placement, ...] = ()) -> Arrangement:
@@ -219,8 +203,7 @@ def greedy_upper_bound(shape: Shape, board: Board | None = None,
 
 def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
                   *, node_budget: int = DEFAULT_NODE_BUDGET,
-                  time_budget: float | None = None,
-                  threads: int = 1) -> SolveResult:
+                  time_budget: float | None = None) -> SolveResult:
     """Exact clumsy packing number with a lexicographically first witness.
 
     Raises BudgetExceededError carrying the proved bracket when the node or
@@ -242,45 +225,23 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
     all_firsts = tuple(range(p))
 
     budget = _Budget(node_budget, time_budget)
-    use_pool = threads > 1 and p >= PARALLEL_THRESHOLD
-
-    def run(k: int, firsts: tuple[int, ...]) -> tuple[int, ...] | None:
-        if not use_pool:
-            return _lex_search(nbr, p, k, firsts, budget)
-        chunks = [firsts[i::threads] for i in range(threads)]
-        chunks = [c for c in chunks if c]
-        share = max(1, (budget.node_budget - budget.nodes) // max(1, len(chunks)))
-        best: tuple[int, ...] | None = None
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for got, nodes in pool.map(
-                    _search_chunk,
-                    [(nbr, p, k, c, share) for c in chunks]):
-                if nodes < 0:
-                    # A worker hit its share; the refutation is incomplete.
-                    budget.nodes += -nodes
-                    raise _BudgetSignal
-                budget.nodes += nodes
-                if got is not None and (best is None or got < best):
-                    best = got
-        return best
-
-    completed = 0
+    lower = 1
     try:
         for k in range(1, upper + 1):
-            if k < upper:
-                if run(k, sym_firsts) is None:
-                    completed = k
-                    continue
+            if k < upper and _lex_search(nbr, p, k, sym_firsts, budget) is None:
+                lower = k + 1
+                continue
             # A witness of this size exists (found above, or greedy realizes
-            # k = upper).  Rerun without the symmetry quotient so the witness
-            # returned is the true lexicographically first one.
-            got = run(k, all_firsts)
+            # k = upper), so k is proven.  Rerun without the symmetry quotient
+            # so the witness returned is the true lexicographically first one.
+            lower = upper = k
+            got = _lex_search(nbr, p, k, all_firsts, budget)
             assert got is not None
             chosen = tuple(placements[i] for i in got)
             witness = Arrangement(board, shape, mode, chosen)
             return SolveResult(k, witness, budget.nodes, time.monotonic() - start)
     except _BudgetSignal:
-        raise BudgetExceededError(completed + 1, upper, budget.nodes) from None
+        raise BudgetExceededError(lower, upper, budget.nodes) from None
     raise AssertionError("unreachable: the greedy bound guarantees a witness")
 
 
@@ -364,16 +325,3 @@ def oracle_clumsy_number(shape: Shape, board: Board | None = None,
     raise OracleGuardError(
         f"no maximal arrangement of size <= {max_k} found within the oracle's "
         f"subset cap on {p} placements")
-
-
-def default_threads() -> int:
-    """Worker count for the command line: CLUMSY_THREADS, else CPU count."""
-    env = os.environ.get("CLUMSY_THREADS")
-    if env:
-        try:
-            v = int(env)
-            if v >= 1:
-                return v
-        except ValueError:
-            pass
-    return os.cpu_count() or 1

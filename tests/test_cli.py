@@ -1,4 +1,5 @@
 import pathlib
+import time
 
 import pytest
 
@@ -48,6 +49,16 @@ class TestSolve:
         assert code == 3
         assert out.startswith("budget exhausted after ")
         assert "cp in [" in out
+
+    def test_time_budget_exit(self, run_cli):
+        # L(1,2) free on 8x8 runs far past half a second unbudgeted; the
+        # deadline must stop the search, not merely be reported at the end.
+        start = time.monotonic()
+        code, out, _ = run_cli(["solve", "--family", "L", "--params", "1,2",
+                                "--board", "8", "--time-budget", "0.5"])
+        assert code == 3
+        assert out.startswith("budget exhausted after ")
+        assert time.monotonic() - start < 10
 
     def test_custom_shape(self, run_cli):
         code, out, _ = run_cli(["solve", "--family", "custom",

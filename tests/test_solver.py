@@ -1,10 +1,9 @@
 import pytest
 
-import clumsypack.solver as solver_mod
 from clumsypack.geometry import Cell, ell, plus, rect, straight_h, straight_v, tee
 from clumsypack.packing import Arrangement, Board, Placement, is_maximal, is_valid
 from clumsypack.solver import (BudgetExceededError, OracleGuardError,
-                               _symmetry_firsts, clumsy_number, default_threads,
+                               _symmetry_firsts, clumsy_number,
                                first_maximal_arrangement, greedy_upper_bound,
                                oracle_clumsy_number)
 
@@ -105,6 +104,18 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             clumsy_number(ell(3, 6), mode="free", time_budget=0.0)
 
+    def test_bracket_closes_once_witness_size_is_found(self):
+        # The symmetric pass proves cp = 4; a budget one node short of the
+        # full solve runs out in the witness rerun, so the bracket is [4, 4].
+        full = clumsy_number(ell(1, 2), Board(6), "free")
+        assert full.clumsy_number == 4
+        with pytest.raises(BudgetExceededError) as ei:
+            clumsy_number(ell(1, 2), Board(6), "free",
+                          node_budget=full.nodes_explored - 1)
+        err = ei.value
+        assert (err.lower, err.upper) == (4, 4)
+        assert err.nodes == full.nodes_explored
+
 
 class TestFirstMaximal:
     def test_no_small_maximal_arrangement(self):
@@ -139,28 +150,3 @@ class TestSymmetry:
     def test_fixed_mode_not_reduced(self):
         firsts = _symmetry_firsts(rect(2, 2), Board(4), "fixed", 9)
         assert firsts == tuple(range(9))
-
-
-class TestParallel:
-    def test_pool_path_matches_serial(self, monkeypatch):
-        # force the pool on even for a tiny instance
-        monkeypatch.setattr(solver_mod, "PARALLEL_THRESHOLD", 1)
-        par = clumsy_number(ell(1, 2), Board(4), "free", threads=2)
-        ser = clumsy_number(ell(1, 2), Board(4), "free", threads=1)
-        assert par.clumsy_number == ser.clumsy_number == 2
-        assert par.witness.placements == ser.witness.placements
-
-    def test_large_instance_two_threads(self):
-        # 200 placements: crosses the real threshold
-        res = clumsy_number(ell(2, 7), Board(12), "free", threads=2)
-        assert res.clumsy_number == 4
-
-
-class TestDefaultThreads:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("CLUMSY_THREADS", "3")
-        assert default_threads() == 3
-
-    def test_env_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("CLUMSY_THREADS", "zero")
-        assert default_threads() >= 1
