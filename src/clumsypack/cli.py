@@ -9,6 +9,7 @@ exhausted.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import Iterable, Sequence
 
@@ -132,8 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     render.add_argument("--out", default=None, help="write to this file instead of stdout")
 
     scan = subs.add_parser("scan", help="sweep instances comparing solver against claims")
-    scan.add_argument("id", choices=("L-free-exact", "T-free-exact", "L-fixed-conj",
-                                     "R-free", "T-gen", "plus-gen"))
+    scan.add_argument("id", choices=tuple(_SCANS))
     scan.add_argument("--limit", type=int, default=7,
                       help="largest shape size to include (default 7)")
     scan.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
@@ -244,74 +244,43 @@ def cmd_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# scan id -> (family, parameter count, mode of the claims its rows check).
+# L-wide rows are the conjecture's own fixed-mode instances; every other row
+# is solved in free mode on the default board.
+_SCANS = {
+    "L-free-exact": ("L", 2, "free"),
+    "T-free-exact": ("T", 2, "free"),
+    "L-fixed-conj": ("L-wide", 2, "fixed"),
+    "R-free": ("rect", 2, "fixed"),
+    "T-gen": ("gen-T", 3, None),
+    "plus-gen": ("gen-plus", 4, None),
+}
+
+
 def _scan_rows(scan_id: str, limit: int):
     """Yield (shape, board, mode, label, claim) rows for one scan sweep.
 
-    claim is an int (equality), an (lo, hi) bracket, or None when nothing is
-    claimed for the row.
+    Rows run over the parameter tuples in 1..limit, in lex order, whose shape
+    exists and has at most limit cells.  claim is an int (equality), an
+    (lo, hi) bracket, or None when nothing is claimed for the row.
     """
-    if scan_id == "L-free-exact":
-        for a in range(1, limit):
-            for b in range(a, limit):
-                if a + b + 1 > limit:
-                    continue
-                shape = make_shape("L", (a, b))
-                theorem, tparams = route("L", "free", (a, b))
-                yield (shape, default_board(shape), "free",
-                       _instance_label("L", (a, b), "free"),
-                       formula_value(theorem, *tparams))
-    elif scan_id == "T-free-exact":
-        for a in range(1, limit):
-            for b in range(1, limit):
-                if 2 * a + b + 1 > limit:
-                    continue
-                shape = make_shape("T", (a, b))
-                theorem, tparams = route("T", "free", (a, b))
-                yield (shape, default_board(shape), "free",
-                       _instance_label("T", (a, b), "free"),
-                       formula_value(theorem, *tparams))
-    elif scan_id == "L-fixed-conj":
-        for a in range(2, limit):
-            for b in range(1, a):
-                if a + b + 1 > limit:
-                    continue
-                shape, board, mode = instance_of(TheoremId.CONJ_L_FIXED, (a, b))
-                yield (shape, board, mode, f"L-wide({a},{b}) fixed",
-                       formula_value(TheoremId.CONJ_L_FIXED, a, b))
-    elif scan_id == "R-free":
-        for a in range(1, limit + 1):
-            for b in range(1, limit + 1):
-                if a * b > limit:
-                    continue
-                shape = make_shape("rect", (a, b))
-                if a == 1 or b == 1:
-                    claim = max(a, b)
-                else:
-                    claim = formula_value(TheoremId.RECT_FIXED, a, b)
-                yield (shape, default_board(shape), "free",
-                       _instance_label("rect", (a, b), "free"), claim)
-    elif scan_id == "T-gen":
-        for a in range(1, limit):
-            for b in range(1, limit):
-                for c in range(1, limit):
-                    if a + b + c + 1 > limit:
-                        continue
-                    shape = make_shape("gen-T", (a, b, c))
-                    yield (shape, default_board(shape), "free",
-                           _instance_label("gen-T", (a, b, c), "free"), None)
-    elif scan_id == "plus-gen":
-        for a in range(1, limit):
-            for b in range(1, limit):
-                for c in range(1, limit):
-                    for d in range(1, limit):
-                        if a + b + c + d + 1 > limit:
-                            continue
-                        shape = make_shape("gen-plus", (a, b, c, d))
-                        yield (shape, default_board(shape), "free",
-                               _instance_label("gen-plus", (a, b, c, d), "free"),
-                               None)
-    else:
-        raise ValueError(f"unknown scan id {scan_id!r}")
+    family, arity, claim_mode = _SCANS[scan_id]
+    for ps in itertools.product(range(1, limit + 1), repeat=arity):
+        if sum(ps) - 1 > limit:
+            continue  # every scanned family has at least sum(ps) - 1 cells
+        try:
+            if family == "L-wide":
+                shape, board, mode = instance_of(TheoremId.CONJ_L_FIXED, ps)
+                routed = TheoremId.CONJ_L_FIXED, ps
+            else:
+                shape = make_shape(family, ps)
+                board, mode = default_board(shape), "free"
+                routed = route(family, claim_mode, ps) if claim_mode else None
+        except ValueError:
+            continue
+        if shape.size <= limit:
+            claim = formula_value(routed[0], *routed[1]) if routed else None
+            yield shape, board, mode, _instance_label(family, ps, mode), claim
 
 
 def cmd_scan(args: argparse.Namespace) -> int:

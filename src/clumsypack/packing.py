@@ -106,20 +106,22 @@ def validate(arrangement: Arrangement) -> str | None:
     """
     board = arrangement.board
     shape = arrangement.shape
-    covered: list[frozenset[Cell]] = []
+    # The first owner of a shared cell is the lowest placement on it, so the
+    # least (owner, idx) hit is the least overlapping pair.
+    owner: dict[Cell, int] = {}
+    overlap: tuple[int, int] | None = None
     for idx, p in enumerate(arrangement.placements, start=1):
         if arrangement.mode == "fixed" and p.rotation % 4 != 0:
             return f"placement {idx} uses rotation {p.rotation % 4} but mode is fixed"
-        cells = cells_of(shape, p)
-        for c in cells:
+        for c in cells_of(shape, p):
             if c not in board:
                 return (f"placement {idx} off board: cell ({c.col}, {c.row}) "
                         f"outside 1..{board.n}")
-        covered.append(cells)
-    for i in range(len(covered)):
-        for j in range(i + 1, len(covered)):
-            if covered[i] & covered[j]:
-                return f"placements {i + 1} and {j + 1} overlap"
+            first = owner.setdefault(c, idx)
+            if first != idx and (overlap is None or (first, idx) < overlap):
+                overlap = (first, idx)
+    if overlap is not None:
+        return f"placements {overlap[0]} and {overlap[1]} overlap"
     return None
 
 

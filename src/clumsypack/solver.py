@@ -98,6 +98,9 @@ def _lex_search(nbr: list[int], p: int, k: int, firsts: tuple[int, ...],
     choices are unrestricted.  Chosen indices are strictly increasing, so
     each candidate set is visited exactly once, in sorted order.
     """
+    if k < 1:
+        # Every candidate set opens with a first index: none is smaller than 1.
+        return None
     full = (1 << p) - 1
 
     def extend(chosen: list[int], dominated: int, last: int) -> tuple[int, ...] | None:

@@ -1,10 +1,11 @@
 """Closed-form clumsy numbers, witness constructions, and cross-checks.
 
-Each entry couples a shape family and mode with a closed-form value (or a
-lower/upper bracket) for its clumsy packing number, plus a recipe that
-builds an arrangement realizing the claimed size.  ``check_theorem`` then
-cross-examines up to three independent routes to the answer: the formula,
-the built witness, and the exact solver.
+``CLAIMS`` holds one entry per result of the paper.  Each entry couples a
+shape family and mode with a closed-form value (or a lower/upper bracket)
+for its clumsy packing number, plus a recipe that builds an arrangement
+realizing the claimed size.  ``check_theorem`` then cross-examines up to
+three independent routes to the answer: the formula, the built witness,
+and the exact solver.
 
 One entry is a conjecture rather than a theorem: it has a formula but no
 witness recipe, and the solver may refute it.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum, unique
+from typing import Callable
 
 from .geometry import Cell, Shape, custom, ell, plus, rect, straight_v, tee
 from .packing import (Arrangement, Board, Placement, enumerate_placements,
@@ -67,74 +69,34 @@ def _ceil_div(x: int, y: int) -> int:
     return -(-x // y)
 
 
-# theorem -> (parameter names, hypothesis predicate, hypothesis description)
-_HYPOTHESES: dict[TheoremId, tuple[tuple[str, ...], object, str]] = {
-    TheoremId.STRAIGHT_FIXED: (("n",), lambda n: n >= 1, "n >= 1"),
-    TheoremId.STRAIGHT_FREE: (("n",), lambda n: n >= 1, "n >= 1"),
-    TheoremId.RECT_FIXED: (("a", "b"), lambda a, b: a >= 2 and b >= 2, "a, b >= 2"),
-    TheoremId.L_FIXED_EQUAL: (("a",), lambda a: a >= 1, "a >= 1"),
-    TheoremId.L_FREE_EQUAL: (("a",), lambda a: a >= 1, "a >= 1"),
-    TheoremId.L_FREE_BOUNDS: (("a", "b"), lambda a, b: 1 <= a <= b, "1 <= a <= b"),
-    TheoremId.L_FREE_A1_BOUNDS: (("b",), lambda b: b >= 1, "b >= 1"),
-    TheoremId.T_FIXED_WIDE: (("a", "b"), lambda a, b: a >= 1 and 1 <= b <= 2 * a,
-                             "a >= 1 and 1 <= b <= 2a"),
-    TheoremId.T_FIXED_TALL: (("a", "b"), lambda a, b: a >= 1 and b > 2 * a,
-                             "a >= 1 and b > 2a"),
-    TheoremId.T_FREE_EQUAL: (("a",), lambda a: a >= 1, "a >= 1"),
-    TheoremId.T_FREE_BOUNDS: (("a", "b"), lambda a, b: a >= 1 and b >= 1, "a, b >= 1"),
-    TheoremId.PLUS_ANY: (("a",), lambda a: a >= 1, "a >= 1"),
-    TheoremId.CONJ_L_FIXED: (("a", "b"), lambda a, b: 1 <= b < a, "1 <= b < a"),
-}
+@dataclass(frozen=True)
+class Claim:
+    """One stated result: what it is about, what it claims, how it is witnessed.
+
+    ``instance`` maps the parameters to the shape and the board side the
+    claim is about, and ``mode`` says how copies may move.  ``value`` gives
+    the claimed clumsy number, or a (lower, upper) bracket.  ``construction``
+    builds the witness the proof describes; it is None for the conjecture.
+    """
+
+    params: tuple[str, ...]
+    hypothesis: Callable[..., bool]
+    hypothesis_text: str
+    value: Callable[..., int | tuple[int, int]]
+    instance: Callable[..., tuple[Shape, int]]
+    mode: str
+    construction: Callable[..., Arrangement] | None
 
 
-def _check_params(theorem: TheoremId, params: tuple[int, ...]) -> tuple[int, ...]:
-    names, pred, desc = _HYPOTHESES[theorem]
-    ps = tuple(int(p) for p in params)
-    if len(ps) != len(names):
-        raise HypothesisError(
-            f"{theorem.value} takes parameters ({', '.join(names)}), got {len(ps)}")
-    if not pred(*ps):
-        given = ", ".join(f"{n}={v}" for n, v in zip(names, ps))
-        raise HypothesisError(f"{theorem.value} requires {desc}, got {given}")
-    return ps
+def _rect_fixed_value(a: int, b: int) -> int:
+    return _ceil_div(a * b - a + 1, 2 * a - 1) * _ceil_div(a * b - b + 1, 2 * b - 1)
 
 
-def formula_value(theorem: TheoremId, *params: int):
-    """Claimed clumsy number, or a (lower, upper) bracket for bounds entries."""
-    ps = _check_params(theorem, tuple(params))
-    if theorem in (TheoremId.STRAIGHT_FIXED, TheoremId.STRAIGHT_FREE):
-        return ps[0]
-    if theorem is TheoremId.RECT_FIXED:
-        a, b = ps
-        return (_ceil_div(a * b - a + 1, 2 * a - 1)
-                * _ceil_div(a * b - b + 1, 2 * b - 1))
-    if theorem is TheoremId.L_FIXED_EQUAL:
-        return 1
-    if theorem is TheoremId.L_FREE_EQUAL:
-        return 2
-    if theorem is TheoremId.L_FREE_BOUNDS:
-        return (2, 5)
-    if theorem is TheoremId.L_FREE_A1_BOUNDS:
-        return (2, 4)
-    if theorem is TheoremId.T_FIXED_WIDE:
-        a, b = ps
-        return _ceil_div(2 * a + 1, 2 * b + 1)
-    if theorem is TheoremId.T_FIXED_TALL:
-        a, b = ps
-        return _ceil_div(b + 1, 2 * a + 1)
-    if theorem is TheoremId.T_FREE_EQUAL:
-        return 2
-    if theorem is TheoremId.T_FREE_BOUNDS:
-        return (2, 4)
-    if theorem is TheoremId.PLUS_ANY:
-        return 1
-    if theorem is TheoremId.CONJ_L_FIXED:
-        a, b = ps
-        n = a + b + 1
-        q1 = n // ((a + 2) ** 2 + a)
-        q2 = _ceil_div(n, (a + 1) ** 2 + a)
-        return q1 * (a + 1) + _ceil_div(n - q2 * (a + 1) ** 2 - a, a + 1)
-    raise AssertionError(theorem)
+def _conj_l_fixed_value(a: int, b: int) -> int:
+    n = a + b + 1
+    q1 = n // ((a + 2) ** 2 + a)
+    q2 = _ceil_div(n, (a + 1) ** 2 + a)
+    return q1 * (a + 1) + _ceil_div(n - q2 * (a + 1) ** 2 - a, a + 1)
 
 
 def _ell_wide(a: int, b: int) -> Shape:
@@ -146,47 +108,6 @@ def _ell_wide(a: int, b: int) -> Shape:
     cells = [Cell(i, 1) for i in range(1, a + 2)]
     cells += [Cell(1, j) for j in range(2, b + 2)]
     return custom(cells, Cell(1, 1))
-
-
-def instance_of(theorem: TheoremId, params: tuple[int, ...]
-                ) -> tuple[Shape, Board, str]:
-    """The shape, board, and mode a theorem's claim is about."""
-    ps = _check_params(theorem, tuple(params))
-    if theorem is TheoremId.STRAIGHT_FIXED:
-        return straight_v(ps[0]), Board(ps[0]), "fixed"
-    if theorem is TheoremId.STRAIGHT_FREE:
-        return straight_v(ps[0]), Board(ps[0]), "free"
-    if theorem is TheoremId.RECT_FIXED:
-        a, b = ps
-        return rect(a, b), Board(a * b), "fixed"
-    if theorem is TheoremId.L_FIXED_EQUAL:
-        a = ps[0]
-        return ell(a, a), Board(2 * a + 1), "fixed"
-    if theorem is TheoremId.L_FREE_EQUAL:
-        a = ps[0]
-        return ell(a, a), Board(2 * a + 1), "free"
-    if theorem is TheoremId.L_FREE_BOUNDS:
-        a, b = ps
-        return ell(a, b), Board(a + b + 1), "free"
-    if theorem is TheoremId.L_FREE_A1_BOUNDS:
-        b = ps[0]
-        return ell(1, b), Board(b + 2), "free"
-    if theorem in (TheoremId.T_FIXED_WIDE, TheoremId.T_FIXED_TALL):
-        a, b = ps
-        return tee(a, b), Board(2 * a + b + 1), "fixed"
-    if theorem is TheoremId.T_FREE_EQUAL:
-        a = ps[0]
-        return tee(a, a), Board(3 * a + 1), "free"
-    if theorem is TheoremId.T_FREE_BOUNDS:
-        a, b = ps
-        return tee(a, b), Board(2 * a + b + 1), "free"
-    if theorem is TheoremId.PLUS_ANY:
-        a = ps[0]
-        return plus(a), Board(4 * a + 1), "free"
-    if theorem is TheoremId.CONJ_L_FIXED:
-        a, b = ps
-        return _ell_wide(a, b), Board(a + b + 1), "fixed"
-    raise AssertionError(theorem)
 
 
 def _blocking_grid_starts(n: int, w: int) -> list[int]:
@@ -334,6 +255,109 @@ def _l_free_a1_construction(b: int) -> Arrangement:
             f"no maximal four-piece arrangement found for L(1,{b}) on {b + 2}x{b + 2}")
     return arr
 
+def _l_fixed_equal_construction(a: int) -> Arrangement:
+    return Arrangement(Board(2 * a + 1), ell(a, a), "fixed", (Placement(0, Cell(a + 1, 1)),))
+
+
+def _l_free_equal_construction(a: int) -> Arrangement:
+    return Arrangement(Board(2 * a + 1), ell(a, a), "free",
+                       (Placement(0, Cell(a + 1, a + 1)), Placement(0, Cell(a, 1))))
+
+
+def _t_free_equal_construction(a: int) -> Arrangement:
+    return Arrangement(Board(3 * a + 1), tee(a, a), "free",
+                       (Placement(0, Cell(a + 1, a + 1)),
+                        Placement(1, Cell(2 * a + 2, 2 * a + 1))))
+
+
+def _t_free_four_construction(a: int, b: int) -> Arrangement:
+    n = 2 * a + b + 1
+    c = min(a, b)
+    return Arrangement(Board(n), tee(a, b), "free",
+                       (Placement(0, Cell(a + 1, c)),
+                        Placement(1, Cell(n - c + 1, a + 1)),
+                        Placement(2, Cell(n - a, n - c + 1)),
+                        Placement(3, Cell(c, n - a))))
+
+
+def _plus_construction(a: int) -> Arrangement:
+    return Arrangement(Board(4 * a + 1), plus(a), "free",
+                       (Placement(0, Cell(2 * a + 1, 2 * a + 1)),))
+
+
+# One entry per result, its fields in Claim order.
+CLAIMS: dict[TheoremId, Claim] = {
+    TheoremId.STRAIGHT_FIXED: Claim(
+        ("n",), lambda n: n >= 1, "n >= 1", lambda n: n,
+        lambda n: (straight_v(n), n), "fixed", lambda n: _straight_construction(n, "fixed")),
+    TheoremId.STRAIGHT_FREE: Claim(
+        ("n",), lambda n: n >= 1, "n >= 1", lambda n: n,
+        lambda n: (straight_v(n), n), "free", lambda n: _straight_construction(n, "free")),
+    TheoremId.RECT_FIXED: Claim(
+        ("a", "b"), lambda a, b: a >= 2 and b >= 2, "a, b >= 2", _rect_fixed_value,
+        lambda a, b: (rect(a, b), a * b), "fixed", _rect_fixed_construction),
+    TheoremId.L_FIXED_EQUAL: Claim(
+        ("a",), lambda a: a >= 1, "a >= 1", lambda a: 1,
+        lambda a: (ell(a, a), 2 * a + 1), "fixed", _l_fixed_equal_construction),
+    TheoremId.L_FREE_EQUAL: Claim(
+        ("a",), lambda a: a >= 1, "a >= 1", lambda a: 2,
+        lambda a: (ell(a, a), 2 * a + 1), "free", _l_free_equal_construction),
+    TheoremId.L_FREE_BOUNDS: Claim(
+        ("a", "b"), lambda a, b: 1 <= a <= b, "1 <= a <= b", lambda a, b: (2, 5),
+        lambda a, b: (ell(a, b), a + b + 1), "free", _l_free_five_construction),
+    TheoremId.L_FREE_A1_BOUNDS: Claim(
+        ("b",), lambda b: b >= 1, "b >= 1", lambda b: (2, 4),
+        lambda b: (ell(1, b), b + 2), "free", _l_free_a1_construction),
+    TheoremId.T_FIXED_WIDE: Claim(
+        ("a", "b"), lambda a, b: a >= 1 and 1 <= b <= 2 * a, "a >= 1 and 1 <= b <= 2a",
+        lambda a, b: _ceil_div(2 * a + 1, 2 * b + 1),
+        lambda a, b: (tee(a, b), 2 * a + b + 1), "fixed", _t_fixed_wide_construction),
+    TheoremId.T_FIXED_TALL: Claim(
+        ("a", "b"), lambda a, b: a >= 1 and b > 2 * a, "a >= 1 and b > 2a",
+        lambda a, b: _ceil_div(b + 1, 2 * a + 1),
+        lambda a, b: (tee(a, b), 2 * a + b + 1), "fixed", _t_fixed_tall_construction),
+    TheoremId.T_FREE_EQUAL: Claim(
+        ("a",), lambda a: a >= 1, "a >= 1", lambda a: 2,
+        lambda a: (tee(a, a), 3 * a + 1), "free", _t_free_equal_construction),
+    TheoremId.T_FREE_BOUNDS: Claim(
+        ("a", "b"), lambda a, b: a >= 1 and b >= 1, "a, b >= 1", lambda a, b: (2, 4),
+        lambda a, b: (tee(a, b), 2 * a + b + 1), "free", _t_free_four_construction),
+    TheoremId.PLUS_ANY: Claim(
+        ("a",), lambda a: a >= 1, "a >= 1", lambda a: 1,
+        lambda a: (plus(a), 4 * a + 1), "free", _plus_construction),
+    TheoremId.CONJ_L_FIXED: Claim(
+        ("a", "b"), lambda a, b: 1 <= b < a, "1 <= b < a", _conj_l_fixed_value,
+        lambda a, b: (_ell_wide(a, b), a + b + 1), "fixed", None),
+}
+
+
+def _check_params(theorem: TheoremId, params: tuple[int, ...]
+                  ) -> tuple[Claim, tuple[int, ...]]:
+    claim = CLAIMS[theorem]
+    ps = tuple(int(p) for p in params)
+    if len(ps) != len(claim.params):
+        raise HypothesisError(
+            f"{theorem.value} takes parameters ({', '.join(claim.params)}), got {len(ps)}")
+    if not claim.hypothesis(*ps):
+        given = ", ".join(f"{n}={v}" for n, v in zip(claim.params, ps))
+        raise HypothesisError(
+            f"{theorem.value} requires {claim.hypothesis_text}, got {given}")
+    return claim, ps
+
+
+def formula_value(theorem: TheoremId, *params: int):
+    """Claimed clumsy number, or a (lower, upper) bracket for bounds entries."""
+    claim, ps = _check_params(theorem, params)
+    return claim.value(*ps)
+
+
+def instance_of(theorem: TheoremId, params: tuple[int, ...]
+                ) -> tuple[Shape, Board, str]:
+    """The shape, board, and mode a theorem's claim is about."""
+    claim, ps = _check_params(theorem, params)
+    shape, side = claim.instance(*ps)
+    return shape, Board(side), claim.mode
+
 
 def build_construction(theorem: TheoremId, *params: int) -> Arrangement:
     """The witness arrangement a theorem's proof describes.
@@ -341,51 +365,10 @@ def build_construction(theorem: TheoremId, *params: int) -> Arrangement:
     Raises ConstructionError when no recipe exists (the conjecture) or the
     recipe's own side conditions fail.
     """
-    ps = _check_params(theorem, tuple(params))
-    if theorem is TheoremId.STRAIGHT_FIXED:
-        return _straight_construction(ps[0], "fixed")
-    if theorem is TheoremId.STRAIGHT_FREE:
-        return _straight_construction(ps[0], "free")
-    if theorem is TheoremId.RECT_FIXED:
-        return _rect_fixed_construction(*ps)
-    if theorem is TheoremId.L_FIXED_EQUAL:
-        a = ps[0]
-        return Arrangement(Board(2 * a + 1), ell(a, a), "fixed",
-                           (Placement(0, Cell(a + 1, 1)),))
-    if theorem is TheoremId.L_FREE_EQUAL:
-        a = ps[0]
-        return Arrangement(Board(2 * a + 1), ell(a, a), "free",
-                           (Placement(0, Cell(a + 1, a + 1)),
-                            Placement(0, Cell(a, 1))))
-    if theorem is TheoremId.L_FREE_BOUNDS:
-        return _l_free_five_construction(*ps)
-    if theorem is TheoremId.L_FREE_A1_BOUNDS:
-        return _l_free_a1_construction(ps[0])
-    if theorem is TheoremId.T_FIXED_WIDE:
-        return _t_fixed_wide_construction(*ps)
-    if theorem is TheoremId.T_FIXED_TALL:
-        return _t_fixed_tall_construction(*ps)
-    if theorem is TheoremId.T_FREE_EQUAL:
-        a = ps[0]
-        return Arrangement(Board(3 * a + 1), tee(a, a), "free",
-                           (Placement(0, Cell(a + 1, a + 1)),
-                            Placement(1, Cell(2 * a + 2, 2 * a + 1))))
-    if theorem is TheoremId.T_FREE_BOUNDS:
-        a, b = ps
-        n = 2 * a + b + 1
-        c = min(a, b)
-        return Arrangement(Board(n), tee(a, b), "free",
-                           (Placement(0, Cell(a + 1, c)),
-                            Placement(1, Cell(n - c + 1, a + 1)),
-                            Placement(2, Cell(n - a, n - c + 1)),
-                            Placement(3, Cell(c, n - a))))
-    if theorem is TheoremId.PLUS_ANY:
-        a = ps[0]
-        return Arrangement(Board(4 * a + 1), plus(a), "free",
-                           (Placement(0, Cell(2 * a + 1, 2 * a + 1)),))
-    if theorem is TheoremId.CONJ_L_FIXED:
+    claim, ps = _check_params(theorem, params)
+    if claim.construction is None:
         raise ConstructionError("the conjectured formula has no witness recipe")
-    raise AssertionError(theorem)
+    return claim.construction(*ps)
 
 
 # Above this many placements check_theorem leaves the solver leg out.

@@ -60,6 +60,19 @@ class TestValidate:
                           (Placement(0, Cell(1, 1)), Placement(0, Cell(1, 1))))
         assert validate(arr) == "placements 1 and 2 overlap"
 
+    def test_overlap_reports_lowest_pair(self):
+        # (2, 3) overlap first in placement order, but (1, 4) is the lower pair
+        cells = [Cell(1, 1), Cell(2, 2), Cell(2, 2), Cell(1, 1)]
+        arr = Arrangement(Board(3), rect(1, 1), "fixed",
+                          tuple(Placement(0, c) for c in cells))
+        assert validate(arr) == "placements 1 and 4 overlap"
+
+    def test_off_board_reported_before_earlier_overlap(self):
+        cells = [Cell(1, 1), Cell(1, 1), Cell(4, 1)]
+        arr = Arrangement(Board(3), rect(1, 1), "fixed",
+                          tuple(Placement(0, c) for c in cells))
+        assert validate(arr).startswith("placement 3 off board")
+
     def test_rotation_refused_in_fixed_mode(self):
         arr = Arrangement(Board(4), ell(1, 1), "fixed", (Placement(1, Cell(2, 1)),))
         reason = validate(arr)

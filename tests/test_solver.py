@@ -127,6 +127,13 @@ class TestFirstMaximal:
         assert arr.size == 2
         assert is_valid(arr) and is_maximal(arr)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_nonpositive_size_is_none_at_once(self, size):
+        # placements exist, so no arrangement of this size is maximal; a
+        # search would spend far more than this budget to find that out
+        assert first_maximal_arrangement(ell(1, 2), Board(8), "free", size,
+                                         node_budget=1000) is None
+
 
 class TestOracleGuards:
     def test_hard_placement_limit(self):

@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 
 from clumsypack.geometry import Cell, ell, plus, rect, tee
 from clumsypack.packing import Arrangement, Board, Placement, is_maximal, is_valid
 from clumsypack.solver import clumsy_number
-from clumsypack.theorems import (BOUNDS_THEOREMS, ConstructionError,
+from clumsypack.theorems import (BOUNDS_THEOREMS, CLAIMS, ConstructionError,
                                  HypothesisError, TheoremId, build_construction,
                                  build_example, check_theorem, formula_value,
                                  instance_of, route, theorem_from_name)
@@ -23,6 +25,36 @@ class TestNames:
     def test_bounds_set(self):
         assert BOUNDS_THEOREMS == {T.L_FREE_BOUNDS, T.L_FREE_A1_BOUNDS,
                                    T.T_FREE_BOUNDS}
+
+
+def small_params(t):
+    """Every parameter tuple in 1..5 that meets the claim's hypothesis."""
+    claim = CLAIMS[t]
+    return [ps for ps in itertools.product(range(1, 6), repeat=len(claim.params))
+            if claim.hypothesis(*ps)]
+
+
+class TestRegistry:
+    def test_one_claim_per_theorem(self):
+        assert len(CLAIMS) == len(TheoremId) and set(CLAIMS) == set(TheoremId)
+
+    def test_only_the_conjecture_has_no_construction(self):
+        assert {t for t, c in CLAIMS.items() if c.construction is None} == {T.CONJ_L_FIXED}
+
+    @pytest.mark.parametrize("t", list(TheoremId))
+    def test_board_side_is_cell_count(self, t):
+        # the scan command relies on this to solve every row on the default board
+        assert small_params(t)
+        for ps in small_params(t):
+            shape, board, mode = instance_of(t, ps)
+            assert board.n == shape.size and mode == CLAIMS[t].mode
+
+    def test_bounds_set_is_the_bracket_claims(self):
+        brackets = {t for t in TheoremId
+                    if all(isinstance(formula_value(t, *ps), tuple) for ps in small_params(t))}
+        scalars = {t for t in TheoremId
+                   if all(isinstance(formula_value(t, *ps), int) for ps in small_params(t))}
+        assert BOUNDS_THEOREMS == brackets == set(TheoremId) - scalars
 
 
 class TestFormulas:
