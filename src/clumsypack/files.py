@@ -19,6 +19,11 @@ from .geometry import FAMILIES, Cell, Shape, make_shape, rotate
 from .packing import Arrangement, Board, Placement
 
 
+# libyaml's C loader and dumper when PyYAML was built with it, else pure Python.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 class FileFormatError(ValueError):
     """The document does not follow the arrangement file format."""
 
@@ -86,7 +91,7 @@ def dumps(doc: ArrangementFile) -> str:
     }
     if doc.family == "custom":
         body["custom_cells"] = [[c.col, c.row] for c in doc.custom_cells or ()]
-    return yaml.safe_dump(body, sort_keys=False)
+    return yaml.dump(body, Dumper=_Dumper, sort_keys=False)
 
 
 def _need_int(value, where: str) -> int:
@@ -97,7 +102,7 @@ def _need_int(value, where: str) -> int:
 
 def loads(text: str) -> ArrangementFile:
     try:
-        body = yaml.safe_load(text)
+        body = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise FileFormatError(f"not valid YAML: {exc}") from None
     if not isinstance(body, dict):

@@ -196,19 +196,20 @@ def custom(cells: Iterable[Cell], anchor: Cell | None = None) -> Shape:
     return Shape(norm, a, "custom", ())
 
 
-_FAMILY_BUILDERS = {
-    "rect": rect,
-    "straight-v": straight_v,
-    "straight-h": straight_h,
-    "l": ell,
-    "t": tee,
-    "plus": plus,
-    "gen-t": gen_tee,
-    "gen-plus": gen_plus,
+# Family name -> (builder, parameter count); custom shapes take a cell list.
+_FAMILY_TABLE = {
+    "rect": (rect, 2),
+    "straight-v": (straight_v, 1),
+    "straight-h": (straight_h, 1),
+    "L": (ell, 2),
+    "T": (tee, 2),
+    "plus": (plus, 1),
+    "gen-T": (gen_tee, 3),
+    "gen-plus": (gen_plus, 4),
 }
+_BY_KEY = {name.lower(): entry for name, entry in _FAMILY_TABLE.items()}
 
-FAMILIES = ("rect", "straight-v", "straight-h", "L", "T", "plus",
-            "gen-T", "gen-plus", "custom")
+FAMILIES = (*_FAMILY_TABLE, "custom")
 
 
 def make_shape(family: str, params: Iterable[int] = (),
@@ -221,10 +222,10 @@ def make_shape(family: str, params: Iterable[int] = (),
         if not custom_cells:
             raise ValueError("family custom requires a cell list")
         return custom(custom_cells, anchor)
-    builder = _FAMILY_BUILDERS.get(key)
-    if builder is None:
+    entry = _BY_KEY.get(key)
+    if entry is None:
         raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
-    arity = builder.__code__.co_argcount
+    builder, arity = entry
     if len(ps) != arity:
         raise ValueError(f"family {family!r} takes {arity} parameter(s), got {len(ps)}")
     return builder(*ps)

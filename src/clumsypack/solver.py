@@ -5,7 +5,11 @@ that is valid and admits no further copy.  The search works on the conflict
 graph of placements, where a maximal arrangement is exactly an independent
 dominating set.  Iterative deepening over the target size k = 1, 2, ...
 guarantees the first size found is the minimum, and within each depth the
-lexicographically first witness (by placement index) is produced.
+lexicographically first witness (by placement index) is produced.  In free
+mode the search opens only at first indices that are the least of their
+board-rotation orbit; this loses no witness, since a lex-first witness
+always opens at an orbit minimum (see ``_symmetry_firsts``), so the one
+search at each depth returns that witness directly.
 
 A second, deliberately naive oracle recomputes small instances straight from
 the definition so the two routes can be compared in tests.
@@ -64,7 +68,8 @@ class _Budget:
         if self.nodes > self.node_budget:
             raise _BudgetSignal
         # Clock checks are amortized; the bitwise test keeps the hot loop cheap.
-        if self.deadline is not None and self.nodes & 4095 == 0:
+        # Checking at node 1 too lets a spent deadline stop a small solve.
+        if self.deadline is not None and self.nodes & 4095 == 1:
             if time.monotonic() > self.deadline:
                 raise _BudgetSignal
 
@@ -158,9 +163,12 @@ def _board_rotation_map(shape: Shape, board: Board, mode: str) -> list[int] | No
 def _symmetry_firsts(shape: Shape, board: Board, mode: str, p: int) -> tuple[int, ...]:
     """First-index candidates after quotienting by board rotation.
 
-    Sound for the existence question only: rotating a whole maximal
-    arrangement yields another one, and some rotation of any witness has its
-    minimum placement index at an orbit minimum.
+    The lex-first maximal arrangement of any size k opens at an orbit
+    minimum.  Suppose it opened at f with r(f) < f for some rotation r.
+    Rotating the whole arrangement by r gives another maximal arrangement
+    of size k, and its least index is at most r(f) < f, so it comes
+    lex-before: a contradiction.  Minimality of k is never used, so the
+    quotient keeps the lex-first witness at every size.
     """
     if mode != "free":
         return tuple(range(p))
@@ -224,28 +232,19 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
 
     upper = greedy_upper_bound(shape, board, mode).size
     nbr = _neighbor_masks(masks)
-    sym_firsts = _symmetry_firsts(shape, board, mode, p)
-    all_firsts = tuple(range(p))
+    firsts = _symmetry_firsts(shape, board, mode, p)
 
     budget = _Budget(node_budget, time_budget)
-    lower = 1
+    # Every size below k is refuted; greedy realizes size upper, so the
+    # search stops at k = upper at the latest.
+    k = 1
     try:
-        for k in range(1, upper + 1):
-            if k < upper and _lex_search(nbr, p, k, sym_firsts, budget) is None:
-                lower = k + 1
-                continue
-            # A witness of this size exists (found above, or greedy realizes
-            # k = upper), so k is proven.  Rerun without the symmetry quotient
-            # so the witness returned is the true lexicographically first one.
-            lower = upper = k
-            got = _lex_search(nbr, p, k, all_firsts, budget)
-            assert got is not None
-            chosen = tuple(placements[i] for i in got)
-            witness = Arrangement(board, shape, mode, chosen)
-            return SolveResult(k, witness, budget.nodes, time.monotonic() - start)
+        while (got := _lex_search(nbr, p, k, firsts, budget)) is None:
+            k += 1
     except _BudgetSignal:
-        raise BudgetExceededError(lower, upper, budget.nodes) from None
-    raise AssertionError("unreachable: the greedy bound guarantees a witness")
+        raise BudgetExceededError(k, upper, budget.nodes) from None
+    witness = Arrangement(board, shape, mode, tuple(placements[i] for i in got))
+    return SolveResult(k, witness, budget.nodes, time.monotonic() - start)
 
 
 def first_maximal_arrangement(shape: Shape, board: Board | None = None,
@@ -267,7 +266,7 @@ def first_maximal_arrangement(shape: Shape, board: Board | None = None,
     nbr = _neighbor_masks(masks)
     budget = _Budget(node_budget, None)
     try:
-        got = _lex_search(nbr, p, size, tuple(range(p)), budget)
+        got = _lex_search(nbr, p, size, _symmetry_firsts(shape, board, mode, p), budget)
     except _BudgetSignal:
         raise BudgetExceededError(0, None, budget.nodes) from None
     if got is None:

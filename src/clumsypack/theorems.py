@@ -13,14 +13,12 @@ witness recipe, and the solver may refute it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Callable
 
 from .geometry import Cell, Shape, custom, ell, plus, rect, straight_v, tee
-from .packing import (Arrangement, Board, Placement, enumerate_placements,
-                      cells_of, is_maximal, is_valid, placement_masks)
+from .packing import Arrangement, Board, Placement, is_maximal, is_valid, placement_masks
 from .solver import DEFAULT_NODE_BUDGET, clumsy_number, first_maximal_arrangement
 
 
@@ -167,93 +165,37 @@ def _t_fixed_wide_construction(a: int, b: int) -> Arrangement:
 def _t_fixed_tall_construction(a: int, b: int) -> Arrangement:
     n = 2 * a + b + 1
     m = _ceil_div(b + 1, 2 * a + 1)
-    board = Board(n)
-    shape = tee(a, b)
-    # Bars sit side by side in one row, stems hanging below.  The bar block
-    # must cover every column a stem could use, which pins the start range.
-    lo = max(1, a + b + 2 - m * (2 * a + 1))
-    for s in range(lo, a + 2):
-        for ystar in range(1, 2 * a + 2):
-            placements = tuple(
-                Placement(0, Cell(s + a + t * (2 * a + 1), ystar))
-                for t in range(m))
-            arr = Arrangement(board, shape, "fixed", placements)
-            if is_valid(arr) and is_maximal(arr):
-                return arr
-    raise ConstructionError(
-        f"no maximal bar row found for T({a},{b}) fixed on {n}x{n}")
+    # Bars sit side by side along the top row, stems hanging below.  The bar
+    # block must cover every column a stem could use, which pins its start.
+    s = max(1, a + b + 2 - m * (2 * a + 1))
+    placements = tuple(Placement(0, Cell(s + a + t * (2 * a + 1), 1)) for t in range(m))
+    return Arrangement(Board(n), tee(a, b), "fixed", placements)
 
 
-def _first_maximal_subset(shape: Shape, board: Board, count: int,
-                          by_rot: list[list[Placement]],
-                          tail: tuple[Placement, ...]) -> Arrangement | None:
-    """First count-subset of the candidates that, with the fixed tail,
-    forms a maximal arrangement.  Tries one piece per rotation before
-    falling back to arbitrary subsets."""
-    placements, masks = placement_masks(shape, board, "free")
-    mask_of = dict(zip(placements, masks))
-    tail_mask = 0
-    for p in tail:
-        tail_mask |= mask_of[p]
-
-    def good(combo: tuple[Placement, ...]) -> bool:
-        occ = tail_mask
-        for p in combo:
-            m = mask_of[p]
-            if m & occ:
-                return False
-            occ |= m
-        return all(mk & occ for mk in masks)
-
-    pools = [ps for ps in by_rot if ps]
-    if len(pools) == 4 and count == 4:
-        for combo in itertools.product(*pools):
-            if good(combo):
-                return Arrangement(board, shape, "free", tuple(combo) + tail)
-    flat = [p for ps in by_rot for p in ps]
-    for combo in itertools.combinations(flat, count):
-        if good(combo):
-            return Arrangement(board, shape, "free", tuple(combo) + tail)
-    return None
+def _pinwheel(b: int) -> tuple[Placement, ...]:
+    """Four L pieces, one per rotation, turning around the top-left
+    (b+2)-square with each long leg along a different edge."""
+    return (Placement(0, Cell(1, 2)), Placement(1, Cell(b + 1, 1)),
+            Placement(2, Cell(b + 2, b + 1)), Placement(3, Cell(2, b + 2)))
 
 
 def _l_free_five_construction(a: int, b: int) -> Arrangement:
     if not 2 <= a < b:
         raise ConstructionError(
             f"the five-piece L recipe needs 2 <= a < b, got a={a}, b={b}")
-    shape = ell(a, b)
     n = a + b + 1
-    board = Board(n)
-    # Four pieces confined to the top-left (b+2)-square, one more rotated
-    # halfway around tucked against the bottom-right edges.
-    fifth = Placement(2, Cell(n, b + 3))
-    limit = b + 2
-    by_rot: list[list[Placement]] = [[], [], [], []]
-    for p in enumerate_placements(shape, board, "free"):
-        cs = cells_of(shape, p)
-        if all(c.col <= limit and c.row <= limit for c in cs):
-            by_rot[p.rotation].append(p)
-    arr = _first_maximal_subset(shape, board, 4, by_rot, (fifth,))
-    if arr is None:
-        raise ConstructionError(
-            f"no maximal five-piece arrangement found for L({a},{b}) on {n}x{n}")
-    return arr
+    # The pinwheel fills the top-left (b+2)-square; a fifth piece rotated
+    # halfway around is tucked against the bottom-right edges.
+    placements = _pinwheel(b) + (Placement(2, Cell(n, b + 3)),)
+    return Arrangement(Board(n), ell(a, b), "free", placements)
 
 
 def _l_free_a1_construction(b: int) -> Arrangement:
     if b < 2:
         raise ConstructionError(
             f"the four-piece L recipe needs b >= 2, got b={b}")
-    shape = ell(1, b)
-    board = Board(b + 2)
-    by_rot: list[list[Placement]] = [[], [], [], []]
-    for p in enumerate_placements(shape, board, "free"):
-        by_rot[p.rotation].append(p)
-    arr = _first_maximal_subset(shape, board, 4, by_rot, ())
-    if arr is None:
-        raise ConstructionError(
-            f"no maximal four-piece arrangement found for L(1,{b}) on {b + 2}x{b + 2}")
-    return arr
+    return Arrangement(Board(b + 2), ell(1, b), "free", _pinwheel(b))
+
 
 def _l_fixed_equal_construction(a: int) -> Arrangement:
     return Arrangement(Board(2 * a + 1), ell(a, a), "fixed", (Placement(0, Cell(a + 1, 1)),))

@@ -6,10 +6,10 @@ import yaml
 from clumsypack.files import (FileFormatError, dumps, from_arrangement,
                               load_arrangement, loads, save_arrangement,
                               to_arrangement)
-from clumsypack.geometry import Cell, custom, ell, plus, straight_v
+from clumsypack.geometry import Cell, custom, ell, plus, rect, straight_v
 from clumsypack.packing import Arrangement, Board, Placement, is_valid
 from clumsypack.render import render_ascii, render_svg
-from clumsypack.solver import clumsy_number
+from clumsypack.solver import clumsy_number, greedy_upper_bound
 from clumsypack.theorems import build_example
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -80,6 +80,19 @@ class TestDumpFormat:
         doc = yaml.safe_load(dumps(from_arrangement(build_example("L36"))))
         assert list(doc["placements"][0]) == ["rotation", "anchor_col",
                                               "anchor_row"]
+
+    def test_large_document_matches_pure_python_yaml(self):
+        # The C dumper and loader, when PyYAML has them, must not change the
+        # bytes written or the values read.
+        arr = greedy_upper_bound(rect(1, 1), Board(40), "fixed")
+        assert arr.size == 1600
+        body = {"board_n": 40, "family": "rect", "params": [1, 1], "mode": "fixed",
+                "placements": [{"rotation": p.rotation, "anchor_col": p.anchor_pos.col,
+                                "anchor_row": p.anchor_pos.row} for p in arr.placements]}
+        doc = from_arrangement(arr)
+        text = dumps(doc)
+        assert text == yaml.safe_dump(body, sort_keys=False)
+        assert loads(text) == doc
 
     def test_custom_reanchored_without_moving_cells(self):
         # same triomino, anchor deliberately not the lex-least cell

@@ -1,14 +1,17 @@
 """Property tests: invariants that follow from the definition of the clumsy number."""
 
+import itertools
 import math
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from clumsypack.geometry import Cell, custom, rotate
+from clumsypack.geometry import Cell, custom, plus, rect, rotate, straight_v
 from clumsypack.packing import Board, is_maximal, is_valid, placement_masks
 from clumsypack.solver import (ORACLE_SOFT_MAX_K, ORACLE_SOFT_PLACEMENTS,
                                BudgetExceededError, OracleGuardError, clumsy_number,
-                               greedy_upper_bound, oracle_clumsy_number)
+                               first_maximal_arrangement, greedy_upper_bound,
+                               oracle_clumsy_number)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -50,6 +53,22 @@ def oracle_subsets(shape, board, mode):
     return sum(math.comb(p, k) for k in range(1, top + 1))
 
 
+def lex_first_maximal(shape, board, mode, size):
+    """First index tuple, in combinations order, that is pairwise disjoint
+    and blocks every placement; its placements, or None."""
+    placements, masks = placement_masks(shape, board, mode)
+    for combo in itertools.combinations(range(len(masks)), size):
+        occ = 0
+        for i in combo:
+            if occ & masks[i]:
+                break
+            occ |= masks[i]
+        else:
+            if all(m & occ for m in masks):
+                return tuple(placements[i] for i in combo)
+    return None
+
+
 @settings(SETTINGS, max_examples=100)
 @given(instances)
 def test_solver_matches_oracle(instance):
@@ -82,6 +101,29 @@ def test_witness_is_valid_and_maximal(instance):
     witness = result.witness
     assert is_valid(witness) and is_maximal(witness)
     assert witness.size == result.clumsy_number
+
+
+@SETTINGS
+@given(instances)
+def test_witness_is_lex_first(instance):
+    result = clumsy_number(*instance)
+    p = len(placement_masks(*instance)[0])
+    assume(math.comb(p, result.clumsy_number) <= ORACLE_SUBSET_LIMIT)
+    assert result.witness.placements == lex_first_maximal(*instance, result.clumsy_number)
+
+
+# Rotationally symmetric shapes: their placements are deduplicated, so the
+# board-rotation orbits of placement indices have uneven sizes.
+@pytest.mark.parametrize("shape,n", [(plus(1), 5), (plus(1), 7), (straight_v(2), 4),
+                                     (rect(2, 2), 5)])
+def test_symmetric_shape_witnesses_are_lex_first(shape, n):
+    board = Board(n)
+    result = clumsy_number(shape, board, "free")
+    assert result.witness.placements == lex_first_maximal(
+        shape, board, "free", result.clumsy_number)
+    size = result.clumsy_number + 1
+    got = first_maximal_arrangement(shape, board, "free", size)
+    assert (got and got.placements) == lex_first_maximal(shape, board, "free", size)
 
 
 @SETTINGS

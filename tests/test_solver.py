@@ -105,16 +105,28 @@ class TestBudget:
             clumsy_number(ell(3, 6), mode="free", time_budget=0.0)
 
     def test_bracket_closes_once_witness_size_is_found(self):
-        # The symmetric pass proves cp = 4; a budget one node short of the
-        # full solve runs out in the witness rerun, so the bracket is [4, 4].
+        # The search that finds the size-4 witness is the last one: a budget
+        # of exactly its nodes suffices, and one node less stops it in the
+        # depth-4 search with greedy's 6 as the upper end.
         full = clumsy_number(ell(1, 2), Board(6), "free")
         assert full.clumsy_number == 4
+        again = clumsy_number(ell(1, 2), Board(6), "free",
+                              node_budget=full.nodes_explored)
+        assert (again.clumsy_number, again.witness, again.nodes_explored) == \
+            (4, full.witness, full.nodes_explored)
         with pytest.raises(BudgetExceededError) as ei:
             clumsy_number(ell(1, 2), Board(6), "free",
                           node_budget=full.nodes_explored - 1)
         err = ei.value
-        assert (err.lower, err.upper) == (4, 4)
+        assert (err.lower, err.upper) == (4, 6)
         assert err.nodes == full.nodes_explored
+
+    def test_time_budget_zero_stops_a_small_solve(self):
+        # The clock is read on the first node, not only every 4096 nodes.
+        with pytest.raises(BudgetExceededError) as ei:
+            clumsy_number(plus(1), Board(5), "free", time_budget=0.0)
+        err = ei.value
+        assert (err.lower, err.upper, err.nodes) == (1, 2, 1)
 
 
 class TestFirstMaximal:
