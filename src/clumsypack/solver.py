@@ -3,13 +3,31 @@
 The clumsy packing number is the least size of a maximal arrangement: one
 that is valid and admits no further copy.  The search works on the conflict
 graph of placements, where a maximal arrangement is exactly an independent
-dominating set.  Iterative deepening over the target size k = 1, 2, ...
-guarantees the first size found is the minimum, and within each depth the
-lexicographically first witness (by placement index) is produced.  In free
-mode the search opens only at first indices that are the least of their
-board-rotation orbit; this loses no witness, since a lex-first witness
+dominating set.  It refutes the sizes k = start, start + 1, ... in turn, so
+the first size found is the minimum, and at each size it produces the
+lexicographically first witness (by placement index).
+
+The start is the packing bound of the whole graph: placements taken lowest
+first, no two sharing a neighbour, each of which needs a member of its own.
+When the bound meets the greedy arrangement's size, that arrangement is the
+answer and no node is searched (see ``clumsy_number``).
+
+The search at one size is depth-first over increasing picks, on an explicit
+stack, so no depth meets Python's recursion limit.  Each candidate pick is
+one node, tested before it is pushed; it is dropped when the lowest
+undominated placement has no neighbour above it left to pick, or when the
+packing bound of what it leaves undominated exceeds the picks left.  Both
+prunes are sound at every size, so they never change which set comes first.
+The last pick is bit-parallel: it must meet every undominated placement, so
+it is the lowest available index in the AND of their neighbour masks.  It
+counts the nodes a one-at-a-time scan would try, every available index up
+to the hit, or all of them when there is none, so node counts and budget
+stops are those of that scan.
+
+In free mode the search opens only at first indices that are the least of
+their board-rotation orbit; this loses no witness, since a lex-first witness
 always opens at an orbit minimum (see ``_symmetry_firsts``), so the one
-search at each depth returns that witness directly.
+search at each size returns that witness directly.
 
 A second, deliberately naive oracle recomputes small instances straight from
 the definition so the two routes can be compared in tests.
@@ -22,8 +40,8 @@ import time
 from dataclasses import dataclass
 
 from .geometry import Cell, Shape, rotate
-from .packing import (Arrangement, Board, Placement, cells_of, default_board,
-                      placement_masks, validate)
+from .packing import (Arrangement, Board, Placement, default_board, placement_masks,
+                      validate)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -54,105 +72,219 @@ class SolveResult:
 
 
 class _Budget:
-    """Node and wall-clock budget shared across one solve call."""
+    """Node and wall-clock budget shared across one solve call.
 
-    __slots__ = ("node_budget", "deadline", "nodes")
+    The search keeps its node count in a local variable and calls ``spend``
+    only once that count reaches ``stop``, so a node costs one comparison.
+    """
+
+    __slots__ = ("node_budget", "deadline", "nodes", "stop")
 
     def __init__(self, node_budget: int, time_budget: float | None):
         self.node_budget = node_budget
         self.deadline = None if time_budget is None else time.monotonic() + time_budget
         self.nodes = 0
+        # Reading the clock at node 1 lets a spent deadline stop a small solve.
+        self.stop = node_budget + 1 if self.deadline is None else 1
 
-    def spend(self, amount: int = 1) -> None:
+    def spend(self, amount: int) -> int:
+        """Count ``amount`` more nodes and return the new ``stop``; raise
+        _BudgetSignal past either budget.
+
+        One call may add many nodes, so the clock is read each time the
+        count crosses a multiple of 4096 (and at node 1), not on exact
+        values.
+        """
         self.nodes += amount
-        if self.nodes > self.node_budget:
-            raise _BudgetSignal
-        # Clock checks are amortized; the bitwise test keeps the hot loop cheap.
-        # Checking at node 1 too lets a spent deadline stop a small solve.
-        if self.deadline is not None and self.nodes & 4095 == 1:
+        if self.nodes >= self.stop:
+            if self.nodes > self.node_budget:
+                # Where a search spending one node at a time would have stopped.
+                self.nodes = self.node_budget + 1
+                raise _BudgetSignal
+            # Only a deadline sets stop below node_budget + 1.
+            self.stop = min((self.nodes | 4095) + 1, self.node_budget + 1)
             if time.monotonic() > self.deadline:
                 raise _BudgetSignal
+        return self.stop
 
 
 class _BudgetSignal(Exception):
     pass
 
 
-def _neighbor_masks(masks: tuple[int, ...]) -> list[int]:
-    """nbr[i] = bitmask over placement indices whose cells meet placement i.
+def _bits(m: int):
+    """Indices of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
-    Every placement conflicts with itself, so bit i of nbr[i] is set.
+
+def _conflict_graph(masks: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Neighbour masks nbr and far complements notfar over placement indices.
+
+    nbr[i] holds the placements whose cells meet placement i; every
+    placement conflicts with itself, so bit i of nbr[i] is set.  far[i] =
+    OR(nbr[j] for j in nbr[i]) holds every placement that some single pick
+    dominates together with i, and notfar[i] is its complement.  Both come
+    from cover[c], the placements on cell c, so the cost grows with the
+    total cell count, not with the number of placement pairs.
     """
-    p = len(masks)
-    nbr = [0] * p
-    for i in range(p):
-        nbr[i] |= 1 << i
-        mi = masks[i]
-        for j in range(i + 1, p):
-            if mi & masks[j]:
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
-    return nbr
+    cells = [tuple(_bits(m)) for m in masks]
+    cover: dict[int, int] = {}
+    for i, cs in enumerate(cells):
+        for c in cs:
+            cover[c] = cover.get(c, 0) | 1 << i
+    nbr = []
+    for cs in cells:
+        m = 0
+        for c in cs:
+            m |= cover[c]
+        nbr.append(m)
+    # reach[c]: the placements that meet some placement on cell c.
+    reach = {}
+    for c, on in cover.items():
+        m = 0
+        for j in _bits(on):
+            m |= nbr[j]
+        reach[c] = m
+    full = (1 << len(masks)) - 1
+    notfar = []
+    for cs in cells:
+        m = 0
+        for c in cs:
+            m |= reach[c]
+        notfar.append(full ^ m)
+    return nbr, notfar
 
 
-def _lex_search(nbr: list[int], p: int, k: int, firsts: tuple[int, ...],
+def _packing_bound(notfar: list[int], undom: int) -> int:
+    """Size of a greedy packing of ``undom``: lowest first, no two members
+    sharing a neighbour.
+
+    Each member needs a dominator of its own, since no one placement meets
+    two of them, so dominating ``undom`` takes at least this many picks.
+    """
+    count = 0
+    while undom:
+        count += 1
+        undom &= notfar[(undom & -undom).bit_length() - 1]
+    return count
+
+
+def _lex_search(nbr: list[int], notfar: list[int], k: int, firsts: tuple[int, ...],
                 budget: _Budget) -> tuple[int, ...] | None:
     """First (lex) independent dominating set of size exactly k, or None.
 
     ``firsts`` restricts which placement index may open the set; deeper
-    choices are unrestricted.  Chosen indices are strictly increasing, so
-    each candidate set is visited exactly once, in sorted order.
+    picks are unrestricted.  Picks are strictly increasing, so each
+    candidate set is visited once, in sorted order.  Each candidate pick
+    tried is one node; see the module docstring for the prunes.
     """
     if k < 1:
         # Every candidate set opens with a first index: none is smaller than 1.
         return None
-    full = (1 << p) - 1
-
-    def extend(chosen: list[int], dominated: int, last: int) -> tuple[int, ...] | None:
-        budget.spend()
-        if len(chosen) == k:
-            return tuple(chosen) if dominated == full else None
-        shift = last + 1
-        avail = (~dominated & full) >> shift << shift
-        undom = ~dominated & full
-        if undom:
-            # The lowest undominated placement must conflict with some future
-            # pick, and future picks come from avail.
-            u0 = (undom & -undom).bit_length() - 1
-            if nbr[u0] & avail == 0:
-                return None
-        if avail.bit_count() < k - len(chosen):
-            return None
-        while avail:
-            low = avail & -avail
-            i = low.bit_length() - 1
-            avail ^= low
-            chosen.append(i)
-            got = extend(chosen, dominated | nbr[i], i)
-            if got is not None:
-                return got
-            chosen.pop()
+    full = (1 << len(nbr)) - 1
+    nodes, stop = budget.nodes, budget.stop
+    if k == 1:
+        for f in firsts:
+            nodes += 1
+            if nodes >= stop:
+                stop = budget.spend(nodes - budget.nodes)
+            if nbr[f] == full:
+                budget.nodes = nodes
+                return (f,)
+        budget.nodes = nodes
         return None
-
+    notnbr = [full ^ m for m in nbr]
+    # Saved frames: candidates left for pick d and what picks 0..d-1 leave
+    # undominated.  The frame in use lives in c, undom_d and need.
+    cands = [0] * k
+    undoms = [0] * k
+    picks = [0] * k
+    steps = [range(j - 1) for j in range(k)]
+    d = 0
+    c = 0
     for f in firsts:
-        budget.spend()
-        got = extend([f], nbr[f], f)
-        if got is not None:
-            return got
-    return None
+        c |= 1 << f
+    undom_d = full
+    need = k - 1
+    while True:
+        while c:
+            low = c & -c
+            c ^= low
+            nodes += 1
+            if nodes >= stop:
+                stop = budget.spend(nodes - budget.nodes)
+            i = low.bit_length() - 1
+            # The child is tested here, before any push.
+            undom = undom_d & notnbr[i]
+            if not undom:
+                continue
+            ulow = undom & -undom
+            u = ulow.bit_length() - 1
+            # Later picks are above i, so u needs a neighbour above i.
+            if nbr[u] & undom < low:
+                continue
+            # Packing bound: need + 1 undominated placements, no two sharing
+            # a neighbour, would each need one of the need picks left.  The
+            # walk starts at u; steps[need] runs its other need - 1 steps.
+            r = undom & notfar[u]
+            for _ in steps[need]:
+                if not r:
+                    break
+                r &= notfar[(r & -r).bit_length() - 1]
+            if r:
+                continue
+            picks[d] = i
+            avail = undom & -low
+            if need > 1:
+                cands[d] = c
+                undoms[d] = undom_d
+                d += 1
+                c = avail
+                undom_d = undom
+                need -= 1
+                continue
+            # The last pick must meet every undominated placement.  The
+            # sequential scan would try each available index up to the hit.
+            hits = avail & nbr[u]
+            rest = undom ^ ulow
+            while hits and rest:
+                low = rest & -rest
+                hits &= nbr[low.bit_length() - 1]
+                rest ^= low
+            hit = hits & -hits
+            # With no hit, 2 * hit - 1 = -1 keeps all of avail.
+            nodes += (avail & (2 * hit - 1)).bit_count()
+            if nodes >= stop:
+                stop = budget.spend(nodes - budget.nodes)
+            if hit:
+                budget.nodes = nodes
+                picks[d + 1] = hit.bit_length() - 1
+                return tuple(picks)
+        if not d:
+            budget.nodes = nodes
+            return None
+        d -= 1
+        c = cands[d]
+        undom_d = undoms[d]
+        need += 1
 
 
-def _board_rotation_map(shape: Shape, board: Board, mode: str) -> list[int] | None:
+def _board_rotation_map(masks: tuple[int, ...], n: int) -> list[int] | None:
     """index -> index map of one clockwise board rotation, or None if the
-    placement set is not closed under it (possible in fixed mode)."""
-    placements, _ = placement_masks(shape, board, mode)
-    n = board.n
-    index_of: dict[frozenset[Cell], int] = {}
-    for idx, p in enumerate(placements):
-        index_of[cells_of(shape, p)] = idx
+    placement set is not closed under it (possible in fixed mode).
+
+    Cell (col, row) goes to (n + 1 - row, col); on bits, b -> turn[b].
+    """
+    turn = [(b % n) * n + (n - 1 - b // n) for b in range(n * n)]
+    index_of = {m: i for i, m in enumerate(masks)}
     out: list[int] = []
-    for p in placements:
-        turned = frozenset(Cell(n + 1 - c.row, c.col) for c in cells_of(shape, p))
+    for m in masks:
+        turned = 0
+        for b in _bits(m):
+            turned |= 1 << turn[b]
         j = index_of.get(turned)
         if j is None:
             return None
@@ -172,7 +304,7 @@ def _symmetry_firsts(shape: Shape, board: Board, mode: str, p: int) -> tuple[int
     """
     if mode != "free":
         return tuple(range(p))
-    rot = _board_rotation_map(shape, board, mode)
+    rot = _board_rotation_map(placement_masks(shape, board, mode)[1], board.n)
     if rot is None:
         return tuple(range(p))
     firsts = []
@@ -230,16 +362,25 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
         empty = Arrangement(board, shape, mode, ())
         return SolveResult(0, empty, 0, time.monotonic() - start)
 
-    upper = greedy_upper_bound(shape, board, mode).size
-    nbr = _neighbor_masks(masks)
+    greedy = greedy_upper_bound(shape, board, mode)
+    upper = greedy.size
+    nbr, notfar = _conflict_graph(masks)
+    k = _packing_bound(notfar, (1 << p) - 1)
+    if k == upper:
+        # Greedy keeps, in index order, each placement that fits beside the
+        # ones it kept.  An independent set of the same size that agrees
+        # with greedy's first j picks cannot pick below greedy's next one,
+        # so greedy is the lex-least independent set of its size, and
+        # hence the lex-first witness.
+        return SolveResult(k, greedy, 0, time.monotonic() - start)
     firsts = _symmetry_firsts(shape, board, mode, p)
 
     budget = _Budget(node_budget, time_budget)
-    # Every size below k is refuted; greedy realizes size upper, so the
-    # search stops at k = upper at the latest.
-    k = 1
+    # Every size below k is refuted (the packing bound refutes those below
+    # the start); greedy realizes size upper, so the search stops at
+    # k = upper at the latest.
     try:
-        while (got := _lex_search(nbr, p, k, firsts, budget)) is None:
+        while (got := _lex_search(nbr, notfar, k, firsts, budget)) is None:
             k += 1
     except _BudgetSignal:
         raise BudgetExceededError(k, upper, budget.nodes) from None
@@ -263,10 +404,11 @@ def first_maximal_arrangement(shape: Shape, board: Board | None = None,
     p = len(placements)
     if p == 0:
         return Arrangement(board, shape, mode, ()) if size == 0 else None
-    nbr = _neighbor_masks(masks)
+    nbr, notfar = _conflict_graph(masks)
     budget = _Budget(node_budget, None)
     try:
-        got = _lex_search(nbr, p, size, _symmetry_firsts(shape, board, mode, p), budget)
+        got = _lex_search(nbr, notfar, size, _symmetry_firsts(shape, board, mode, p),
+                          budget)
     except _BudgetSignal:
         raise BudgetExceededError(0, None, budget.nodes) from None
     if got is None:

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from clumsypack.geometry import Cell, custom, plus, rect, rotate, straight_v
 from clumsypack.packing import Board, is_maximal, is_valid, placement_masks
 from clumsypack.solver import (ORACLE_SOFT_MAX_K, ORACLE_SOFT_PLACEMENTS,
-                               BudgetExceededError, OracleGuardError, clumsy_number,
+                               BudgetExceededError, OracleGuardError, _conflict_graph,
+                               _packing_bound, clumsy_number,
                                first_maximal_arrangement, greedy_upper_bound,
                                oracle_clumsy_number)
 
@@ -78,6 +79,19 @@ def test_solver_matches_oracle(instance):
     except OracleGuardError:
         assume(False)
     assert cp(*instance) == want
+
+
+@SETTINGS
+@given(instances)
+def test_packing_bound_is_a_lower_bound(instance):
+    assume(oracle_subsets(*instance) <= ORACLE_SUBSET_LIMIT)
+    try:
+        want = oracle_clumsy_number(*instance)
+    except OracleGuardError:
+        assume(False)
+    masks = placement_masks(*instance)[1]
+    _, notfar = _conflict_graph(masks)
+    assert _packing_bound(notfar, (1 << len(masks)) - 1) <= want
 
 
 @SETTINGS

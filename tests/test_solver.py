@@ -2,8 +2,8 @@ import pytest
 
 from clumsypack.geometry import Cell, ell, plus, rect, straight_h, straight_v, tee
 from clumsypack.packing import Arrangement, Board, Placement, is_maximal, is_valid
-from clumsypack.solver import (BudgetExceededError, OracleGuardError,
-                               _symmetry_firsts, clumsy_number,
+from clumsypack.solver import (BudgetExceededError, OracleGuardError, _Budget,
+                               _BudgetSignal, _symmetry_firsts, clumsy_number,
                                first_maximal_arrangement, greedy_upper_bound,
                                oracle_clumsy_number)
 
@@ -70,6 +70,20 @@ class TestWitness:
         assert is_maximal(res.witness)
 
 
+class TestLowerBound:
+    def test_bound_meeting_greedy_returns_greedy(self):
+        # 1,089 monominoes pairwise share no neighbour, so the packing bound
+        # is greedy's full tiling.
+        res = clumsy_number(rect(1, 1), Board(33), "fixed")
+        assert (res.clumsy_number, res.nodes_explored) == (1089, 0)
+        assert res.witness == greedy_upper_bound(rect(1, 1), Board(33), "fixed")
+
+    def test_domino_free(self):
+        res = clumsy_number(straight_h(2), Board(5), "free")
+        assert res.clumsy_number == 9
+        assert res.nodes_explored < 200_000
+
+
 class TestGreedy:
     def test_greedy_is_maximal(self):
         arr = greedy_upper_bound(ell(3, 6), Board(10), "free")
@@ -99,8 +113,8 @@ class TestBudget:
         assert "clumsy number is in" in str(err)
 
     def test_time_budget_zero(self):
-        # deadline checks are amortized every 4096 nodes, so the instance
-        # must be big enough to reach the first check
+        # the clock is first read at node 1, so a spent deadline stops the
+        # solve there
         with pytest.raises(BudgetExceededError):
             clumsy_number(ell(3, 6), mode="free", time_budget=0.0)
 
@@ -121,6 +135,13 @@ class TestBudget:
         assert (err.lower, err.upper) == (4, 6)
         assert err.nodes == full.nodes_explored
 
+    def test_clock_read_when_a_batch_steps_over_a_check(self):
+        # One spend may add many nodes: crossing node 1 or a multiple of
+        # 4096 reads the clock wherever the count lands.
+        budget = _Budget(10 ** 9, -1.0)
+        with pytest.raises(_BudgetSignal):
+            budget.spend(5000)
+
     def test_time_budget_zero_stops_a_small_solve(self):
         # The clock is read on the first node, not only every 4096 nodes.
         with pytest.raises(BudgetExceededError) as ei:
@@ -137,6 +158,11 @@ class TestFirstMaximal:
         arr = first_maximal_arrangement(tee(4, 3), Board(12), "free", 2)
         assert arr is not None
         assert arr.size == 2
+        assert is_valid(arr) and is_maximal(arr)
+
+    def test_depth_beyond_the_recursion_limit(self):
+        arr = first_maximal_arrangement(rect(1, 1), Board(33), "fixed", 1089)
+        assert arr is not None and arr.size == 1089
         assert is_valid(arr) and is_maximal(arr)
 
     @pytest.mark.parametrize("size", [0, -1])
