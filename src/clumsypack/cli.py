@@ -301,14 +301,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
         if claim is None:
             print(f"{label}: cp = {cp}, no claim -> inconclusive")
             counts["inconclusive"] += 1
-        elif isinstance(claim, tuple):
-            verdict = "supports" if claim[0] <= cp <= claim[1] else "refutes"
-            print(f"{label}: cp = {cp}, claim = {_format_value(claim)} -> {verdict}")
-            counts[verdict] += 1
-        else:
-            verdict = "supports" if cp == claim else "refutes"
-            print(f"{label}: cp = {cp}, claim = {claim} -> {verdict}")
-            counts[verdict] += 1
+            continue
+        lo, hi = claim if isinstance(claim, tuple) else (claim, claim)
+        verdict = "supports" if lo <= cp <= hi else "refutes"
+        # cp is 0 only when no piece fits, so a refuted claim <= 0 tests the
+        # formula's range, not the paper's value.
+        note = ""
+        if verdict == "refutes" and hi <= 0:
+            note = " (claim ≤ 0: formula out of range)"
+        print(f"{label}: cp = {cp}, claim = {_format_value(claim)} -> {verdict}{note}")
+        counts[verdict] += 1
     print(f"supports: {counts['supports']}, refutes: {counts['refutes']}, "
           f"inconclusive: {counts['inconclusive']}")
     return EXIT_FAIL if counts["refutes"] else EXIT_OK

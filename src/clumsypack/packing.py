@@ -136,45 +136,54 @@ def enumerate_placements(shape: Shape, board: Board, mode: str) -> tuple[Placeme
     placements covering the same cells (a rotationally symmetric shape) are
     deduplicated keeping the earlier one.
     """
-    _check_mode(mode)
-    rotations = (0,) if mode == "fixed" else (0, 1, 2, 3)
-    seen: set[frozenset[Cell]] = set()
-    out: list[Placement] = []
-    for m in rotations:
-        rot = rotate(shape, m)
-        # Anchor ranges keeping the whole rotated shape inside the board.
-        ac, ar = rot.anchor
-        w, h = rot.width, rot.height
-        for row in range(ar, board.n - (h - ar) + 1):
-            for col in range(ac, board.n - (w - ac) + 1):
-                p = Placement(m, Cell(col, row))
-                cells = cells_of(shape, p)
-                if cells in seen:
-                    continue
-                seen.add(cells)
-                out.append(p)
-    return tuple(out)
+    return _tables(shape, board, mode)[0]
 
 
 @lru_cache(maxsize=256)
 def _tables(shape: Shape, board: Board, mode: str
-            ) -> tuple[tuple[Placement, ...], tuple[int, ...]]:
-    """Placements plus their cell bitmasks; bit (row-1)*n + (col-1)."""
-    placements = enumerate_placements(shape, board, mode)
+            ) -> tuple[tuple[Placement, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Placements, their cell bitmasks, and their cell bits lowest first.
+
+    Cell (col, row) is bit (row-1)*n + (col-1).  Each orientation is rotated
+    once: its cells become sorted bit offsets from the upper-left corner,
+    and moving the anchor from (ac, ar) to (col, row) shifts them all by
+    (row - ar) * n + (col - ac).  The anchor ranges keep the whole piece on
+    the board, so no shift carries a cell across a row end.
+    """
+    _check_mode(mode)
     n = board.n
-    masks = []
-    for p in placements:
-        m = 0
-        for c in cells_of(shape, p):
-            m |= 1 << ((c.row - 1) * n + (c.col - 1))
-        masks.append(m)
-    return placements, tuple(masks)
+    placements: list[Placement] = []
+    masks: list[int] = []
+    cells: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for m in (0,) if mode == "fixed" else (0, 1, 2, 3):
+        rot = rotate(shape, m)
+        ac, ar = rot.anchor
+        offsets = sorted((c.row - 1) * n + (c.col - 1) for c in rot.cells)
+        base = sum(1 << b for b in offsets)
+        for row in range(ar, n - (rot.height - ar) + 1):
+            for col in range(ac, n - (rot.width - ac) + 1):
+                shift = (row - ar) * n + (col - ac)
+                mask = base << shift
+                if mask in seen:
+                    continue
+                seen.add(mask)
+                placements.append(Placement(m, Cell(col, row)))
+                masks.append(mask)
+                cells.append(tuple(b + shift for b in offsets))
+    return tuple(placements), tuple(masks), tuple(cells)
 
 
 def placement_masks(shape: Shape, board: Board, mode: str
                     ) -> tuple[tuple[Placement, ...], tuple[int, ...]]:
     """Public view of the cached placement/bitmask tables."""
-    return _tables(shape, board, mode)
+    placements, masks, _ = _tables(shape, board, mode)
+    return placements, masks
+
+
+def _placement_cells(shape: Shape, board: Board, mode: str) -> tuple[tuple[int, ...], ...]:
+    """Each placement's cell bits, lowest first, in placement order."""
+    return _tables(shape, board, mode)[2]
 
 
 def is_maximal(arrangement: Arrangement) -> bool:
@@ -190,7 +199,7 @@ def is_maximal(arrangement: Arrangement) -> bool:
     occ = 0
     for c in arrangement.occupied_cells():
         occ |= 1 << ((c.row - 1) * n + (c.col - 1))
-    _, masks = _tables(arrangement.shape, arrangement.board, arrangement.mode)
+    masks = _tables(arrangement.shape, arrangement.board, arrangement.mode)[1]
     return all(m & occ for m in masks)
 
 

@@ -40,8 +40,8 @@ import time
 from dataclasses import dataclass
 
 from .geometry import Cell, Shape, rotate
-from .packing import (Arrangement, Board, Placement, default_board, placement_masks,
-                      validate)
+from .packing import (Arrangement, Board, Placement, _placement_cells, default_board,
+                      placement_masks, validate)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -112,29 +112,31 @@ class _BudgetSignal(Exception):
     pass
 
 
-def _bits(m: int):
-    """Indices of the set bits of m, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
+def _check_budget(node_budget: int) -> None:
+    if node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {node_budget}")
 
 
-def _conflict_graph(masks: tuple[int, ...]) -> tuple[list[int], list[int]]:
+def _conflict_graph(cells: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]]:
     """Neighbour masks nbr and far complements notfar over placement indices.
+
+    ``cells[i]`` lists the cell bits of placement i (``_placement_cells``).
 
     nbr[i] holds the placements whose cells meet placement i; every
     placement conflicts with itself, so bit i of nbr[i] is set.  far[i] =
     OR(nbr[j] for j in nbr[i]) holds every placement that some single pick
     dominates together with i, and notfar[i] is its complement.  Both come
-    from cover[c], the placements on cell c, so the cost grows with the
-    total cell count, not with the number of placement pairs.
+    from on[c], the placements on cell c, and its mask cover[c], so the
+    cost grows with the total cell count, not with the number of placement
+    pairs.
     """
-    cells = [tuple(_bits(m)) for m in masks]
+    on: dict[int, list[int]] = {}
     cover: dict[int, int] = {}
     for i, cs in enumerate(cells):
+        bit = 1 << i
         for c in cs:
-            cover[c] = cover.get(c, 0) | 1 << i
+            on.setdefault(c, []).append(i)
+            cover[c] = cover.get(c, 0) | bit
     nbr = []
     for cs in cells:
         m = 0
@@ -143,12 +145,12 @@ def _conflict_graph(masks: tuple[int, ...]) -> tuple[list[int], list[int]]:
         nbr.append(m)
     # reach[c]: the placements that meet some placement on cell c.
     reach = {}
-    for c, on in cover.items():
+    for c, ids in on.items():
         m = 0
-        for j in _bits(on):
+        for j in ids:
             m |= nbr[j]
         reach[c] = m
-    full = (1 << len(masks)) - 1
+    full = (1 << len(cells)) - 1
     notfar = []
     for cs in cells:
         m = 0
@@ -272,7 +274,8 @@ def _lex_search(nbr: list[int], notfar: list[int], k: int, firsts: tuple[int, ..
         need += 1
 
 
-def _board_rotation_map(masks: tuple[int, ...], n: int) -> list[int] | None:
+def _board_rotation_map(masks: tuple[int, ...], cells: tuple[tuple[int, ...], ...],
+                        n: int) -> list[int] | None:
     """index -> index map of one clockwise board rotation, or None if the
     placement set is not closed under it (possible in fixed mode).
 
@@ -281,9 +284,9 @@ def _board_rotation_map(masks: tuple[int, ...], n: int) -> list[int] | None:
     turn = [(b % n) * n + (n - 1 - b // n) for b in range(n * n)]
     index_of = {m: i for i, m in enumerate(masks)}
     out: list[int] = []
-    for m in masks:
+    for cs in cells:
         turned = 0
-        for b in _bits(m):
+        for b in cs:
             turned |= 1 << turn[b]
         j = index_of.get(turned)
         if j is None:
@@ -304,7 +307,8 @@ def _symmetry_firsts(shape: Shape, board: Board, mode: str, p: int) -> tuple[int
     """
     if mode != "free":
         return tuple(range(p))
-    rot = _board_rotation_map(placement_masks(shape, board, mode)[1], board.n)
+    rot = _board_rotation_map(placement_masks(shape, board, mode)[1],
+                              _placement_cells(shape, board, mode), board.n)
     if rot is None:
         return tuple(range(p))
     firsts = []
@@ -352,10 +356,11 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
     Raises BudgetExceededError carrying the proved bracket when the node or
     time budget runs out first.
     """
+    _check_budget(node_budget)
     if board is None:
         board = default_board(shape)
     start = time.monotonic()
-    placements, masks = placement_masks(shape, board, mode)
+    placements = placement_masks(shape, board, mode)[0]
     p = len(placements)
     if p == 0:
         # Nothing fits, so the empty arrangement is maximal.
@@ -364,7 +369,7 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
 
     greedy = greedy_upper_bound(shape, board, mode)
     upper = greedy.size
-    nbr, notfar = _conflict_graph(masks)
+    nbr, notfar = _conflict_graph(_placement_cells(shape, board, mode))
     k = _packing_bound(notfar, (1 << p) - 1)
     if k == upper:
         # Greedy keeps, in index order, each placement that fits beside the
@@ -396,15 +401,16 @@ def first_maximal_arrangement(shape: Shape, board: Board | None = None,
 
     With size omitted this is just the witness of the full solve.
     """
+    _check_budget(node_budget)
     if board is None:
         board = default_board(shape)
     if size is None:
         return clumsy_number(shape, board, mode, node_budget=node_budget).witness
-    placements, masks = placement_masks(shape, board, mode)
+    placements = placement_masks(shape, board, mode)[0]
     p = len(placements)
     if p == 0:
         return Arrangement(board, shape, mode, ()) if size == 0 else None
-    nbr, notfar = _conflict_graph(masks)
+    nbr, notfar = _conflict_graph(_placement_cells(shape, board, mode))
     budget = _Budget(node_budget, None)
     try:
         got = _lex_search(nbr, notfar, size, _symmetry_firsts(shape, board, mode, p),

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from clumsypack import cli
 from clumsypack.files import dumps, from_arrangement, load_arrangement, save_arrangement
 from clumsypack.geometry import Cell, plus
 from clumsypack.packing import Arrangement, Board, Placement
@@ -184,11 +185,29 @@ class TestScan:
         assert "T(1,1) free: cp = 2, claim = 2 -> supports" in lines
 
     def test_wide_l_conjecture_refuted(self, run_cli):
-        code, out, _ = run_cli(["scan", "L-fixed-conj", "--limit", "4"])
+        # The formula is never positive on these boards, so every row is noted.
+        code, out, _ = run_cli(["scan", "L-fixed-conj", "--limit", "9"])
         assert code == 1
-        lines = out.splitlines()
-        assert lines[0] == "L-wide(2,1) fixed: cp = 2, claim = -2 -> refutes"
-        assert lines[-1].startswith("supports: 0, refutes:")
+        *rows, summary = out.splitlines()
+        assert rows[0] == ("L-wide(2,1) fixed: cp = 2, claim = -2 -> refutes"
+                           " (claim ≤ 0: formula out of range)")
+        assert all(r.endswith("-> refutes (claim ≤ 0: formula out of range)")
+                   for r in rows)
+        assert summary == "supports: 0, refutes: 12, inconclusive: 0"
+
+    def test_positive_refuted_claim_has_no_note(self, run_cli, monkeypatch):
+        # plus(1) free on 5x5 has cp 1
+        rows = [(plus(1), Board(5), "free", "plus(1) free", 2),
+                (plus(1), Board(5), "free", "plus(1) free", (-1, 0))]
+        monkeypatch.setattr(cli, "_scan_rows", lambda scan_id, limit: iter(rows))
+        code, out, _ = run_cli(["scan", "L-free-exact"])
+        assert code == 1
+        assert out.splitlines() == [
+            "plus(1) free: cp = 1, claim = 2 -> refutes",
+            "plus(1) free: cp = 1, claim = -1..0 -> refutes"
+            " (claim ≤ 0: formula out of range)",
+            "supports: 0, refutes: 2, inconclusive: 0",
+        ]
 
     def test_budget_rows_are_inconclusive(self, run_cli):
         code, out, _ = run_cli(["scan", "T-free-exact", "--limit", "6",
@@ -228,6 +247,12 @@ class TestUsageErrors:
     def test_custom_without_cells(self, run_cli):
         code, _, err = run_cli(["solve", "--family", "custom"])
         assert code == 2 and err.startswith("error: ")
+
+    def test_negative_node_budget(self, run_cli):
+        code, out, err = run_cli(["solve", "--family", "straight-v",
+                                  "--params", "5", "--node-budget", "-5"])
+        assert (code, out) == (2, "")
+        assert err == "error: node budget must be non-negative, got -5\n"
 
     def test_hypothesis_violation_noted_per_row(self, run_cli):
         # a bad row must not abort the rest of a table sweep

@@ -129,6 +129,11 @@ class TestMasks:
         _, masks = placement_masks(tee(2, 1), Board(6), "free")
         assert all(m.bit_count() == 6 for m in masks)
 
+    def test_bad_mode_rejected(self):
+        # The table treats every mode but "fixed" as free, so it must check.
+        with pytest.raises(ValueError, match="mode"):
+            placement_masks(plus(1), Board(5), "bogus")
+
 
 class TestMaximality:
     def test_known_maximal(self):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from clumsypack.geometry import Cell, custom, plus, rect, rotate, straight_v
-from clumsypack.packing import Board, is_maximal, is_valid, placement_masks
+from clumsypack.packing import (Board, Placement, _placement_cells, cells_of,
+                                enumerate_placements, is_maximal, is_valid,
+                                placement_masks)
 from clumsypack.solver import (ORACLE_SOFT_MAX_K, ORACLE_SOFT_PLACEMENTS,
                                BudgetExceededError, OracleGuardError, _conflict_graph,
                                _packing_bound, clumsy_number,
@@ -70,6 +72,55 @@ def lex_first_maximal(shape, board, mode, size):
     return None
 
 
+def reference_tables(shape, board, mode):
+    """Placements, masks and sorted cell bits straight from ``cells_of``:
+    every anchor on the board, each rotation, first of each cell set kept."""
+    n = board.n
+    seen = set()
+    placements, masks, bits = [], [], []
+    for m in (0,) if mode == "fixed" else (0, 1, 2, 3):
+        for row in range(1, n + 1):
+            for col in range(1, n + 1):
+                p = Placement(m, Cell(col, row))
+                cells = cells_of(shape, p)
+                if cells in seen or not all(c in board for c in cells):
+                    continue
+                seen.add(cells)
+                b = sorted((c.row - 1) * n + (c.col - 1) for c in cells)
+                placements.append(p)
+                masks.append(sum(1 << i for i in b))
+                bits.append(tuple(b))
+    return tuple(placements), tuple(masks), tuple(bits)
+
+
+@SETTINGS
+@given(polyominoes(), st.integers(1, 7), st.sampled_from(("fixed", "free")))
+def test_tables_match_cells_of_reference(shape, n, mode):
+    board = Board(n)
+    placements, masks, bits = reference_tables(shape, board, mode)
+    assert placement_masks(shape, board, mode) == (placements, masks)
+    assert enumerate_placements(shape, board, mode) == placements
+    assert _placement_cells(shape, board, mode) == bits
+
+
+# Each placement here covers the cells of a table placement with a lower
+# rotation, so the table drops its rotation.
+@pytest.mark.parametrize("shape,n,dropped", [(straight_v(2), 4, Placement(2, Cell(2, 3))),
+                                             (plus(1), 5, Placement(3, Cell(3, 2)))])
+def test_rotation_the_table_drops_still_works(shape, n, dropped):
+    board = Board(n)
+    placements = placement_masks(shape, board, "free")[0]
+    assert dropped not in placements
+    twin = next(p for p in placements if cells_of(shape, p) == cells_of(shape, dropped))
+    assert twin.rotation < dropped.rotation
+    got = greedy_upper_bound(shape, board, "free", seed=(dropped,))
+    assert got.placements[0] == dropped
+    assert is_valid(got) and is_maximal(got)
+    # The seed's cells decide the rest, not the rotation naming them.
+    assert got.placements[1:] == greedy_upper_bound(shape, board, "free",
+                                                    seed=(twin,)).placements[1:]
+
+
 @settings(SETTINGS, max_examples=100)
 @given(instances)
 def test_solver_matches_oracle(instance):
@@ -89,9 +140,8 @@ def test_packing_bound_is_a_lower_bound(instance):
         want = oracle_clumsy_number(*instance)
     except OracleGuardError:
         assume(False)
-    masks = placement_masks(*instance)[1]
-    _, notfar = _conflict_graph(masks)
-    assert _packing_bound(notfar, (1 << len(masks)) - 1) <= want
+    _, notfar = _conflict_graph(_placement_cells(*instance))
+    assert _packing_bound(notfar, (1 << len(notfar)) - 1) <= want
 
 
 @SETTINGS

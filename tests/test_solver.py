@@ -142,6 +142,17 @@ class TestBudget:
         with pytest.raises(_BudgetSignal):
             budget.spend(5000)
 
+    def test_negative_node_budget_rejected(self):
+        with pytest.raises(ValueError, match="node budget"):
+            clumsy_number(straight_v(5), mode="free", node_budget=-5)
+        with pytest.raises(ValueError, match="node budget"):
+            first_maximal_arrangement(tee(4, 3), Board(12), "free", 2, node_budget=-3)
+
+    def test_zero_node_budget_stops_at_the_first_node(self):
+        with pytest.raises(BudgetExceededError) as ei:
+            clumsy_number(straight_v(5), mode="free", node_budget=0)
+        assert ei.value.nodes == 1
+
     def test_time_budget_zero_stops_a_small_solve(self):
         # The clock is read on the first node, not only every 4096 nodes.
         with pytest.raises(BudgetExceededError) as ei:
