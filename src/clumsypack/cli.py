@@ -110,7 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = subs.add_parser("solve", help="compute the clumsy packing number exactly")
     _add_shape_options(solve)
-    solve.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    solve.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
+                       help="search nodes before giving up with the proven bracket "
+                            "(default %(default)s)")
     solve.add_argument("--time-budget", type=float, default=None,
                        help="wall-clock limit in seconds")
     solve.add_argument("--out", default=None, help="write the witness to this file")
@@ -136,8 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("id", choices=tuple(_SCANS))
     scan.add_argument("--limit", type=int, default=7,
                       help="largest shape size to include (default 7)")
-    scan.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    scan.add_argument("--time-budget", type=float, default=None)
+    scan.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
+                      help="search nodes per instance before reporting its bracket "
+                           "(default %(default)s)")
+    scan.add_argument("--time-budget", type=float, default=None,
+                      help="wall-clock limit in seconds per instance")
 
     oracle = subs.add_parser("oracle", help="recompute a small instance from the definition")
     _add_shape_options(oracle)

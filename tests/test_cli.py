@@ -52,11 +52,11 @@ class TestSolve:
         assert "cp in [" in out
 
     def test_time_budget_exit(self, run_cli):
-        # L(1,2) free on 8x8 runs far past half a second unbudgeted; the
+        # straight(3) free on 9x9 stays open after millions of nodes; the
         # deadline must stop the search, not merely be reported at the end.
         start = time.monotonic()
-        code, out, _ = run_cli(["solve", "--family", "L", "--params", "1,2",
-                                "--board", "8", "--time-budget", "0.5"])
+        code, out, _ = run_cli(["solve", "--family", "straight-v", "--params", "3",
+                                "--board", "9", "--mode", "free", "--time-budget", "0.5"])
         assert code == 3
         assert out.startswith("budget exhausted after ")
         assert time.monotonic() - start < 10

@@ -4,15 +4,15 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from clumsypack.geometry import Cell, custom, plus, rect, rotate, straight_v
+from clumsypack.geometry import Cell, custom, plus, rect, rotate, straight_v, tee
 from clumsypack.packing import (Board, Placement, _placement_cells, cells_of,
                                 enumerate_placements, is_maximal, is_valid,
                                 placement_masks)
 from clumsypack.solver import (ORACLE_SOFT_MAX_K, ORACLE_SOFT_PLACEMENTS,
                                BudgetExceededError, OracleGuardError, _conflict_graph,
-                               _packing_bound, clumsy_number,
+                               _packing_bound, _symmetry_group, clumsy_number,
                                first_maximal_arrangement, greedy_upper_bound,
                                oracle_clumsy_number)
 
@@ -103,6 +103,44 @@ def test_tables_match_cells_of_reference(shape, n, mode):
     assert _placement_cells(shape, board, mode) == bits
 
 
+def reference_group(shape, board, mode):
+    """Index maps of the board symmetries (turns, then an optional
+    transpose) that send every placement's cells onto a placement, moved
+    cell by cell from ``cells_of``."""
+    placements, masks = placement_masks(shape, board, mode)
+    index_of = {m: i for i, m in enumerate(masks)}
+    n = board.n
+    group = set()
+    for turns in range(4):
+        for flip in (False, True):
+            image = []
+            for pl in placements:
+                moved = 0
+                for c in cells_of(shape, pl):
+                    col, row = c.col - 1, c.row - 1
+                    for _ in range(turns):
+                        col, row = n - 1 - row, col
+                    if flip:
+                        col, row = row, col
+                    moved |= 1 << (row * n + col)
+                image.append(index_of.get(moved))
+            if None not in image:
+                group.add(tuple(image))
+    return group
+
+
+@settings(SETTINGS, max_examples=150)
+@given(polyominoes(5), st.integers(1, 8), st.sampled_from(("fixed", "free")))
+def test_symmetry_group_matches_cell_by_cell_reference(shape, n, mode):
+    board = Board(n)
+    assume(placement_masks(shape, board, mode)[0])
+    # Two symmetries may move the placements alike (one placement on a
+    # board of its own size), so the maps compare as a set.
+    group = _symmetry_group(shape, board, mode)
+    assert group[0] == list(range(len(group[0])))
+    assert {tuple(g) for g in group} == reference_group(shape, board, mode)
+
+
 # Each placement here covers the cells of a table placement with a lower
 # rotation, so the table drops its rotation.
 @pytest.mark.parametrize("shape,n,dropped", [(straight_v(2), 4, Placement(2, Cell(2, 3))),
@@ -174,6 +212,19 @@ def test_witness_is_lex_first(instance):
     p = len(placement_masks(*instance)[0])
     assume(math.comb(p, result.clumsy_number) <= ORACLE_SUBSET_LIMIT)
     assert result.witness.placements == lex_first_maximal(*instance, result.clumsy_number)
+
+
+@SETTINGS
+@given(instances, st.integers(1, 2))
+@example(instance=(tee(1, 1), Board(4), "free"), extra=2)
+def test_first_maximal_above_cp_is_lex_first(instance, extra):
+    # Above cp the witness phase needs exactly the picks left: a completion
+    # that dominates everything early must not pass.
+    size = cp(*instance) + extra
+    p = len(placement_masks(*instance)[0])
+    assume(math.comb(p, size) <= ORACLE_SUBSET_LIMIT)
+    got = first_maximal_arrangement(*instance, size)
+    assert (got and got.placements) == lex_first_maximal(*instance, size)
 
 
 # Rotationally symmetric shapes: their placements are deduplicated, so the

@@ -3,9 +3,15 @@ import pytest
 from clumsypack.geometry import Cell, ell, plus, rect, straight_h, straight_v, tee
 from clumsypack.packing import Arrangement, Board, Placement, is_maximal, is_valid
 from clumsypack.solver import (BudgetExceededError, OracleGuardError, _Budget,
-                               _BudgetSignal, _symmetry_firsts, clumsy_number,
-                               first_maximal_arrangement, greedy_upper_bound,
-                               oracle_clumsy_number)
+                               _BudgetSignal, _orbit_minima, _orbits, _symmetry_group,
+                               clumsy_number, first_maximal_arrangement,
+                               greedy_upper_bound, oracle_clumsy_number)
+
+
+def first_picks(shape, board, mode):
+    """Indices the lex-first witness may open at: the orbit minima."""
+    firsts = _orbit_minima(_orbits(_symmetry_group(shape, board, mode)))
+    return tuple(i for i in range(firsts.bit_length()) if firsts >> i & 1)
 
 
 class TestStraights:
@@ -83,6 +89,13 @@ class TestLowerBound:
         assert res.clumsy_number == 9
         assert res.nodes_explored < 200_000
 
+    def test_l13_free_on_eight_closes(self):
+        # The refuter proves size 5 impossible and the witness phase
+        # builds a size-6 witness within this budget.
+        res = clumsy_number(ell(1, 3), Board(8), "free", node_budget=200_000)
+        assert res.clumsy_number == 6
+        assert is_valid(res.witness) and is_maximal(res.witness)
+
 
 class TestGreedy:
     def test_greedy_is_maximal(self):
@@ -119,9 +132,10 @@ class TestBudget:
             clumsy_number(ell(3, 6), mode="free", time_budget=0.0)
 
     def test_bracket_closes_once_witness_size_is_found(self):
-        # The search that finds the size-4 witness is the last one: a budget
-        # of exactly its nodes suffices, and one node less stops it in the
-        # depth-4 search with greedy's 6 as the upper end.
+        # The witness phase spends the last nodes: a budget of exactly the
+        # full solve's nodes suffices, and one node less stops the witness
+        # phase, which reports the proven size 4 with greedy's 6 as the
+        # upper end.
         full = clumsy_number(ell(1, 2), Board(6), "free")
         assert full.clumsy_number == 4
         again = clumsy_number(ell(1, 2), Board(6), "free",
@@ -171,6 +185,14 @@ class TestFirstMaximal:
         assert arr.size == 2
         assert is_valid(arr) and is_maximal(arr)
 
+    def test_exact_size_above_cp(self):
+        # cp is 2; four T-tetrominoes must tile the 4x4 board.  The first
+        # picks also extend to smaller maximal arrangements, which must not
+        # pass as completions of size 4.
+        arr = first_maximal_arrangement(tee(1, 1), Board(4), "free", 4)
+        assert arr.placements == (Placement(0, Cell(2, 1)), Placement(1, Cell(4, 2)),
+                                  Placement(2, Cell(3, 4)), Placement(3, Cell(1, 3)))
+
     def test_depth_beyond_the_recursion_limit(self):
         arr = first_maximal_arrangement(rect(1, 1), Board(33), "fixed", 1089)
         assert arr is not None and arr.size == 1089
@@ -201,8 +223,28 @@ class TestOracleGuards:
 
 class TestSymmetry:
     def test_orbit_minima_on_symmetric_instance(self):
-        assert _symmetry_firsts(plus(1), Board(5), "free", 9) == (0, 1, 4)
+        assert first_picks(plus(1), Board(5), "free") == (0, 1, 4)
 
-    def test_fixed_mode_not_reduced(self):
-        firsts = _symmetry_firsts(rect(2, 2), Board(4), "fixed", 9)
-        assert firsts == tuple(range(9))
+    def test_fixed_mode_uses_the_board_symmetries(self):
+        # The nine 2x2 placements on 4x4 form the corner, edge and centre
+        # orbits of the square.
+        assert first_picks(rect(2, 2), Board(4), "fixed") == (0, 1, 4)
+
+    def test_fixed_square_on_nine_opens_at_ten_candidates(self):
+        # 64 placements, one per cell of an 8x8 grid: 10 orbits under D4.
+        assert len(first_picks(rect(2, 2), Board(9), "fixed")) == 10
+
+    @pytest.mark.parametrize("shape,n,mode", [(plus(1), 6, "free"), (rect(2, 2), 6, "fixed"),
+                                              (ell(1, 2), 6, "free"), (ell(1, 2), 6, "fixed"),
+                                              (tee(1, 1), 7, "free"),
+                                              (straight_v(3), 7, "fixed")])
+    def test_orbit_masks_are_closed_under_the_group(self, shape, n, mode):
+        group = _symmetry_group(shape, Board(n), mode)
+        assert group[0] == list(range(len(group[0])))
+        for orbit in _orbits(group):
+            for g in group:
+                moved = 0
+                for i in range(orbit.bit_length()):
+                    if orbit >> i & 1:
+                        moved |= 1 << g[i]
+                assert moved == orbit
