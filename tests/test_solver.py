@@ -156,6 +156,19 @@ class TestBudget:
         with pytest.raises(_BudgetSignal):
             budget.spend(5000)
 
+    def test_one_node_ticks_read_the_clock_and_hold_the_node_budget(self):
+        # The refuter's root and the witness phase count their candidates
+        # one at a time.
+        budget = _Budget(10 ** 9, -1.0)
+        with pytest.raises(_BudgetSignal):
+            budget.tick()
+        budget = _Budget(2, None)
+        budget.tick()
+        budget.tick()
+        with pytest.raises(_BudgetSignal):
+            budget.tick()
+        assert budget.nodes == 3
+
     def test_negative_node_budget_rejected(self):
         with pytest.raises(ValueError, match="node budget"):
             clumsy_number(straight_v(5), mode="free", node_budget=-5)
