@@ -219,6 +219,8 @@ def make_shape(family: str, params: Iterable[int] = (),
     key = str(family).lower()
     ps = tuple(int(p) for p in params)
     if key == "custom":
+        if ps:
+            raise ValueError(f"family 'custom' takes no parameters, got {len(ps)}")
         if not custom_cells:
             raise ValueError("family custom requires a cell list")
         return custom(custom_cells, anchor)

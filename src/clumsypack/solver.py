@@ -3,34 +3,36 @@
 The clumsy packing number is the least size of a maximal arrangement: one
 that is valid and admits no further copy.  The search works on the conflict
 graph of placements, where a maximal arrangement is exactly an independent
-dominating set.  A solve has two phases.
+dominating set.  A solve has two phases, and both run one search loop.
 
-The refuter asks, for k = start, start + 1, ..., whether at most k
-independent picks dominate every placement (``_complete``).  One call at k
-refutes every size up to k, so the first k that succeeds is the clumsy
-number cp.  The start is the packing bound of the whole graph: placements
-taken lowest first, no two sharing a neighbour, each of which needs a pick
-of its own.  When the bound meets the greedy arrangement's size, that
+The loop (``_complete``) asks whether at most ``need`` independent picks
+from an allowed set dominate a set of undominated placements, or exactly
+``need`` when asked.  It evaluates every node, its entry included, with one
+walk of the packing of what is undominated: placements taken lowest first,
+no two sharing a neighbour, each of which needs a pick of its own.  With
+more members than picks left the node is dead.  With one pick left, the
+pick is bit-parallel: the lowest allowed placement that dominates
+everything left.  With as many members as picks left, each pick dominates
+exactly one member, so the picks narrow to the members' neighbourhoods and
+the branch is on the member with the fewest allowed dominators.  Otherwise
+the branch is on the undominated placement with the fewest, scanned lowest
+first.  A refuted candidate is forbidden to its later siblings, and the
+loop runs on an explicit stack, so no depth meets Python's recursion limit.
+
+The refuter calls the loop on the whole graph for k = start, start + 1,
+...  One call at k refutes every size up to k, so the first k that succeeds
+is the clumsy number cp.  The start is the packing bound of the whole
+graph.  When the bound meets the greedy arrangement's size, that
 arrangement is the answer and no node is searched; when every size below
 greedy's is refuted, greedy's arrangement is the witness (see
-``clumsy_number``).
-
-The refuter's search is order-free.  A node branches on the undominated
-placement with the fewest allowed dominators; when the packing of what is
-undominated has as many members as picks are left, each pick must dominate
-one member, so the picks narrow to the members' neighbourhoods and the
-branch is on the member with the fewest.  Each candidate is tested with the
-packing walk before it is pushed, and a refuted candidate is forbidden to
-its later siblings.  At the root of a refuter call, a refuted candidate
+``clumsy_number``).  At the root of a refuter call, a refuted candidate
 forbids its whole orbit under the board symmetries that map the placement
-set onto itself (``_symmetry_group``), in either mode.  The last pick is
-bit-parallel, and the search runs on an explicit stack, so no depth meets
-Python's recursion limit.
+set onto itself (``_symmetry_group``), in either mode.
 
 The witness phase builds the lexicographically first witness (by placement
 index) of size cp one position at a time.  Each position keeps the lowest
 candidate above the last pick, at position 0 an orbit minimum, that the
-same core can complete with exactly the picks still needed, all above it
+loop can complete with exactly the picks still needed, all above it
 (``_lex_first``).  ``first_maximal_arrangement`` uses it at any size.
 
 A node is one candidate tested, in either phase, plus, at each bit-parallel
@@ -46,11 +48,12 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .geometry import Cell, Shape, rotate
-from .packing import (Arrangement, Board, Placement, _placement_cells, default_board,
-                      placement_masks, validate)
+from .packing import (Arrangement, Board, Placement, _check_mode, _placement_cells,
+                      default_board, placement_masks, validate)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -122,7 +125,7 @@ class _Budget:
 
 
     def tick(self) -> None:
-        """Count one node, for the drivers that test one candidate at a time."""
+        """Count one node; the witness phase tests one candidate at a time."""
         self.nodes += 1
         if self.nodes >= self.stop:
             self.spend(0)
@@ -137,18 +140,21 @@ def _check_budget(node_budget: int) -> None:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
 
 
-def _conflict_graph(cells: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]]:
-    """Neighbour masks nbr and far complements notfar over placement indices.
+def _conflict_graph(cells: tuple[tuple[int, ...], ...]
+                    ) -> tuple[list[int], list[int], list[int]]:
+    """The (nbr, notnbr, notfar) masks over placement indices that the
+    search reads.
 
     ``cells[i]`` lists the cell bits of placement i (``_placement_cells``).
 
     nbr[i] holds the placements whose cells meet placement i; every
     placement conflicts with itself, so bit i of nbr[i] is set.  far[i] =
     OR(nbr[j] for j in nbr[i]) holds every placement that some single pick
-    dominates together with i, and notfar[i] is its complement.  Both come
-    from on[c], the placements on cell c, and its mask cover[c], so the
-    cost grows with the total cell count, not with the number of placement
-    pairs.  All three per-cell tables are lists indexed by cell bit.
+    dominates together with i.  notnbr and notfar are the complements.  nbr
+    and far come from on[c], the placements on cell c, and its mask
+    cover[c], so the cost grows with the total cell count, not with the
+    number of placement pairs.  All three per-cell tables are lists indexed
+    by cell bit.
     """
     size = max((cs[-1] for cs in cells), default=-1) + 1
     on: list[list[int]] = [[] for _ in range(size)]
@@ -178,7 +184,7 @@ def _conflict_graph(cells: tuple[tuple[int, ...], ...]) -> tuple[list[int], list
         for c in cs:
             m |= reach[c]
         notfar.append(full ^ m)
-    return nbr, notfar
+    return nbr, [full ^ m for m in nbr], notfar
 
 
 def _packing_bound(notfar: list[int], undom: int) -> int:
@@ -195,116 +201,74 @@ def _packing_bound(notfar: list[int], undom: int) -> int:
     return count
 
 
-def _branch(nbr: list[int], notfar: list[int], undom: int, allowed: int,
-            need: int) -> tuple[int, int]:
-    """Branch set of a node and its allowed mask, narrowed where sound.
-
-    Walks the greedy packing W of ``undom``.  With more than ``need``
-    members the node is dead.  With exactly ``need``, every pick dominates
-    exactly one member, so the allowed picks narrow to the union of N[w]
-    over W, and the branch is on the member of W with the fewest allowed
-    dominators.  Otherwise it is on the undominated placement with the
-    fewest, scanned lowest first and stopping at the first with at most
-    MRV_EARLY_EXIT.  A branch set of 0 means the node is dead.
-    """
-    packing = []
-    r = undom
-    while r:
-        if len(packing) == need:
-            return 0, allowed
-        w = (r & -r).bit_length() - 1
-        packing.append(w)
-        r &= notfar[w]
-    if len(packing) == need:
-        cover = 0
-        for w in packing:
-            cover |= nbr[w]
-        allowed &= cover
-        scan = packing
-    else:
-        scan = []
-        r = undom
-        while r:
-            low = r & -r
-            scan.append(low.bit_length() - 1)
-            r ^= low
-    best, fewest = 0, None
-    for u in scan:
-        b = nbr[u] & allowed
-        count = b.bit_count()
-        if fewest is None or count < fewest:
-            best, fewest = b, count
-            if count <= MRV_EARLY_EXIT:
-                break
-    return best, allowed
+def _indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed: int,
-              need: int, exact: bool, budget: _Budget) -> tuple[int, ...] | None:
+              need: int, exact: bool, budget: _Budget, orbits: list[int] | None = None
+              ) -> tuple[tuple[int, ...], int] | None:
     """Can at most ``need`` independent picks from ``allowed`` dominate
-    ``undom``?  The picks, in the order found, or None.
+    ``undom``?  The picks in the order found, with the allowed mask of the
+    entry as it stood before the first of them was tried, or None.
 
     ``graph`` is (nbr, notnbr, notfar).  With ``exact`` the picks must
     number exactly ``need``.  ``allowed`` lies within ``undom``, since a
     pick must be independent of the picks that left ``undom``.
 
-    Each node branches on the set ``_branch`` picks; each candidate tried is
-    one node, tested before it is pushed, and a refuted candidate is
-    forbidden to its later siblings.  The last pick is bit-parallel: it
-    must dominate every undominated placement, so it is the lowest index of
-    the branch set in the AND of their neighbour masks, and it counts the
-    branch set's candidates up to the hit, or all of them when there is
-    none.
+    One loop evaluates the entry and then each candidate's child, each with
+    one walk of the packing of its undominated placements; the module
+    docstring says what the walk decides.  Each candidate tried is one node.
+    The entry is not: it is the caller's candidate, or the refuter's root.
+    The bit-parallel last pick counts the branch set's candidates up to the
+    hit, or all of them when there is none.  The entry never takes it, so
+    that with ``orbits`` its candidates are tried one at a time: the entry
+    is then the refuter's root, whose placement set the symmetry group maps
+    onto itself, and each candidate tried forbids its whole orbit to the
+    later ones, though its own subtree keeps the other members.
     """
     nbr, notnbr, notfar = graph
-    if not undom:
-        return () if need == 0 or not exact else None
-    if need <= 0:
-        return None
-    c, allowed = _branch(nbr, notfar, undom, allowed, need)
     nodes, stop = budget.nodes, budget.stop
-    steps = [range(j - 1) for j in range(need)]
-    # The frame in use lives in c, undom, allowed and left, the picks left
-    # after the one it makes; saved[d] holds frame d while frame d + 1 is
-    # in use, and picks[d] its pick.
-    saved: list[tuple[int, int, int, int] | None] = [None] * need
-    left = need - 1
+    # The frame in use, the last node expanded, lives in c (its candidates
+    # not yet tried), undom, allowed and left (the picks its children still
+    # need), and d, the picks that reached it.  While a deeper frame is in
+    # use, saved[j + 1] holds frame j.  The entry's stand-in frame, d = -1,
+    # has no candidates.  The node under evaluation is (u2, a2), reached by
+    # picks[:d + 1].  ws holds the packing walk's members.
+    saved: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)] * need
     picks = [0] * need
-    d = 0
+    ws = [0] * need
+    c, left, d = 0, need, -1
+    u2 = undom
+    a2 = before = allowed
     while True:
-        while c:
-            low = c & -c
-            c ^= low
-            nodes += 1
-            if nodes >= stop:
-                stop = budget.spend(nodes - budget.nodes)
-            i = low.bit_length() - 1
-            u2 = undom & notnbr[i]
-            allowed ^= low
-            a2 = allowed & notnbr[i]
-            if not u2:
-                if exact and left:
-                    continue
+        if not u2:
+            if not (exact and left):
                 budget.nodes = nodes
-                return (*picks[:d], i)
-            if not left:
-                continue
-            # Packing walk: left + 1 undominated placements, no two sharing a
-            # neighbour, would each need one of the picks left.  It starts
-            # at u; steps[left] runs its other left - 1 steps.
-            ulow = u2 & -u2
-            u = ulow.bit_length() - 1
-            r = u2 & notfar[u]
-            for _ in steps[left]:
-                if not r:
+                return tuple(picks[:d + 1]), before
+        elif left:
+            # Packing walk, stopped at left members; anything left in r
+            # would be one more.
+            r, j = u2, 0
+            while True:
+                w = (r & -r).bit_length() - 1
+                ws[j] = w
+                r &= notfar[w]
+                j += 1
+                if not r or j == left:
                     break
-                r &= notfar[(r & -r).bit_length() - 1]
             if r:
-                continue
-            if left == 1:
-                branch = a2 & nbr[u]
+                pass  # each of left + 1 members needs a pick of its own
+            elif left == 1 and d >= 0:
+                # The pick must dominate ws[0], the lowest undominated
+                # placement, and every other one.
+                branch = a2 & nbr[ws[0]]
                 hits = branch
-                rest = u2 ^ ulow
+                rest = u2 & (u2 - 1)
                 while hits and rest:
                     low = rest & -rest
                     hits &= nbr[low.bit_length() - 1]
@@ -316,47 +280,53 @@ def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed
                     stop = budget.spend(nodes - budget.nodes)
                 if hit:
                     budget.nodes = nodes
-                    return (*picks[:d], i, hit.bit_length() - 1)
-                continue
-            b2, a2 = _branch(nbr, notfar, u2, a2, left)
-            if not b2:
-                continue
-            saved[d] = (c, undom, allowed, left)
-            picks[d] = i
-            d += 1
-            c, undom, allowed, left = b2, u2, a2, left - 1
-        if not d:
-            budget.nodes = nodes
-            return None
-        d -= 1
-        c, undom, allowed, left = saved[d]
-
-
-def _refute(graph: tuple[list[int], list[int], list[int]], orbits: list[int], k: int,
-            budget: _Budget) -> tuple[tuple[int, ...], int] | None:
-    """Some independent dominating set of at most k placements, or None.
-
-    The root of a refuter call: it branches as ``_complete`` does and hands
-    each candidate's child to it.  Each candidate is one node.  The whole
-    placement set is invariant under the symmetry group, so a refuted
-    candidate forbids its whole orbit.  With the set found comes the
-    allowed mask as it stood before the candidate that succeeded: no
-    independent dominating set of at most k placements leaves it.
-    """
-    nbr, notnbr, notfar = graph
-    full = (1 << len(nbr)) - 1
-    c, allowed = _branch(nbr, notfar, full, full, k)
-    while c:
+                    return (*picks[:d + 1], hit.bit_length() - 1), before
+            else:
+                if j == left:
+                    # Each pick dominates exactly one member.
+                    scan = ws[:left]
+                    cover = 0
+                    for w in scan:
+                        cover |= nbr[w]
+                    a2 &= cover
+                else:
+                    scan = _indices(u2)
+                # Branch on the placement in scan with the fewest allowed
+                # dominators, stopping at MRV_EARLY_EXIT.
+                best, fewest = 0, a2.bit_count() + 1
+                for u in scan:
+                    b = nbr[u] & a2
+                    count = b.bit_count()
+                    if count < fewest:
+                        best, fewest = b, count
+                        if count <= MRV_EARLY_EXIT:
+                            break
+                if best:
+                    d += 1
+                    saved[d] = (c, undom, allowed, left)
+                    c, undom, allowed, left = best, u2, a2, left - 1
+        while not c:
+            if d < 0:
+                budget.nodes = nodes
+                return None
+            c, undom, allowed, left = saved[d]
+            d -= 1
         low = c & -c
         c ^= low
-        budget.tick()
+        nodes += 1
+        if nodes >= stop:
+            stop = budget.spend(nodes - budget.nodes)
         i = low.bit_length() - 1
-        got = _complete(graph, notnbr[i], allowed & notnbr[i], k - 1, False, budget)
-        if got is not None:
-            return (i, *got), allowed
-        allowed &= ~orbits[i]
-        c &= allowed
-    return None
+        picks[d] = i
+        u2 = undom & notnbr[i]
+        a2 = allowed & notnbr[i]
+        if d:
+            allowed ^= low
+        else:
+            # a2 above keeps the orbit for the candidate's own subtree.
+            before = allowed
+            allowed &= ~(orbits[i] if orbits else low)
+            c &= allowed
 
 
 def _lex_first(graph: tuple[list[int], list[int], list[int]], firsts: int, allowed: int,
@@ -394,7 +364,7 @@ def _lex_first(graph: tuple[list[int], list[int], list[int]], firsts: int, allow
                 break
             got = _complete(graph, u2, u2 & allowed & -(low << 1), need, True, budget)
             if got is not None:
-                ahead = sorted(got, reverse=True)
+                ahead = sorted(got[0], reverse=True)
                 break
         picks.append(i)
         undom = u2
@@ -489,13 +459,6 @@ def _orbit_minima(orbits: list[int]) -> int:
     return firsts
 
 
-def _search_graph(nbr: list[int], notfar: list[int]
-                  ) -> tuple[list[int], list[int], list[int]]:
-    """The (nbr, notnbr, notfar) triple ``_complete`` searches."""
-    full = (1 << len(nbr)) - 1
-    return nbr, [full ^ m for m in nbr], notfar
-
-
 def greedy_upper_bound(shape: Shape, board: Board | None = None,
                        mode: str = "free",
                        seed: tuple[Placement, ...] = ()) -> Arrangement:
@@ -524,6 +487,14 @@ def greedy_upper_bound(shape: Shape, board: Board | None = None,
     return Arrangement(board, shape, mode, tuple(chosen))
 
 
+def _setup(shape: Shape, board: Board, mode: str
+           ) -> tuple[tuple[Placement, ...], tuple[list[int], list[int], list[int]], list[int]]:
+    """The placements of an instance, its search graph and its orbit masks."""
+    placements = placement_masks(shape, board, mode)[0]
+    graph = _conflict_graph(_placement_cells(shape, board, mode))
+    return placements, graph, _orbits(_symmetry_group(shape, board, mode))
+
+
 def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
                   *, node_budget: int = DEFAULT_NODE_BUDGET,
                   time_budget: float | None = None) -> SolveResult:
@@ -536,18 +507,16 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
     if board is None:
         board = default_board(shape)
     start = time.monotonic()
-    placements = placement_masks(shape, board, mode)[0]
-    p = len(placements)
-    if p == 0:
+    placements, graph, orbits = _setup(shape, board, mode)
+    if not placements:
         # Nothing fits, so the empty arrangement is maximal.
         empty = Arrangement(board, shape, mode, ())
         return SolveResult(0, empty, 0, time.monotonic() - start)
 
     greedy = greedy_upper_bound(shape, board, mode)
     upper = greedy.size
-    nbr, notfar = _conflict_graph(_placement_cells(shape, board, mode))
-    full = (1 << p) - 1
-    k = _packing_bound(notfar, full)
+    full = (1 << len(placements)) - 1
+    k = _packing_bound(graph[2], full)
     if k == upper:
         # Greedy keeps, in index order, each placement that fits beside the
         # ones it kept.  An independent set of the same size that agrees
@@ -555,16 +524,17 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
         # so greedy is the lex-least independent set of its size, and
         # hence the lex-first witness.
         return SolveResult(k, greedy, 0, time.monotonic() - start)
-    graph = _search_graph(nbr, notfar)
-    orbits = _orbits(_symmetry_group(shape, board, mode))
 
     budget = _Budget(node_budget, time_budget)
     # Every size below k is refuted (the packing bound refutes those below
     # the start), and one call at k refutes every size up to k.  Greedy
     # realizes size upper, so when every size below it is refuted it is
-    # the witness, by the argument above.
+    # the witness, by the argument above.  A success comes with the root's
+    # allowed mask as it stood before the candidate that succeeded: no
+    # independent dominating set of at most k placements leaves it.
     try:
-        while k < upper and (hit := _refute(graph, orbits, k, budget)) is None:
+        while k < upper and (
+                hit := _complete(graph, full, full, k, False, budget, orbits)) is None:
             k += 1
         if k == upper:
             return SolveResult(k, greedy, budget.nodes, time.monotonic() - start)
@@ -589,11 +559,9 @@ def first_maximal_arrangement(shape: Shape, board: Board | None = None,
         board = default_board(shape)
     if size is None:
         return clumsy_number(shape, board, mode, node_budget=node_budget).witness
-    placements = placement_masks(shape, board, mode)[0]
+    placements, graph, orbits = _setup(shape, board, mode)
     if not placements:
         return Arrangement(board, shape, mode, ()) if size == 0 else None
-    graph = _search_graph(*_conflict_graph(_placement_cells(shape, board, mode)))
-    orbits = _orbits(_symmetry_group(shape, board, mode))
     budget = _Budget(node_budget, None)
     try:
         got = _lex_first(graph, _orbit_minima(orbits), (1 << len(placements)) - 1, size,
@@ -621,6 +589,7 @@ def oracle_clumsy_number(shape: Shape, board: Board | None = None,
     pairwise disjoint and blocks every other placement.  Intended only for
     cross-checking the solver on small instances.
     """
+    _check_mode(mode)
     if board is None:
         board = default_board(shape)
     rotations = (0,) if mode == "fixed" else (0, 1, 2, 3)

@@ -157,6 +157,19 @@ class TestLoadErrors:
         with pytest.raises(FileFormatError):
             loads(self.dump(doc))
 
+    def test_custom_takes_no_params(self, tmp_path, run_cli):
+        # Saving would drop them, so loading refuses them.
+        doc = self.base()
+        doc.update(family="custom", params=[7, 9], custom_cells=[[1, 1], [2, 1]])
+        with pytest.raises(FileFormatError, match="shape parameters invalid: "
+                           "family 'custom' takes no parameters, got 2"):
+            loads(self.dump(doc))
+        path = tmp_path / "custom.yaml"
+        path.write_text(self.dump(doc))
+        code, _, err = run_cli(["verify", path])
+        assert code == 2
+        assert "takes no parameters" in err
+
     def test_not_a_mapping(self):
         with pytest.raises(FileFormatError):
             loads("- 1\n- 2\n")

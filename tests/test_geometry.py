@@ -133,6 +133,13 @@ class TestMakeShape:
         with pytest.raises(ValueError, match="cell list"):
             make_shape("custom", ())
 
+    def test_custom_takes_no_parameters(self):
+        cells = [Cell(1, 1), Cell(2, 1)]
+        assert make_shape("custom", (), custom_cells=cells) == custom(cells)
+        with pytest.raises(ValueError,
+                           match="family 'custom' takes no parameters, got 2"):
+            make_shape("custom", (7, 9), custom_cells=cells)
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             make_shape("hexagon", (1,))

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from clumsypack import solver
 from clumsypack.geometry import Cell, custom, plus, rect, rotate, straight_v, tee
 from clumsypack.packing import (Board, Placement, _placement_cells, cells_of,
                                 enumerate_placements, is_maximal, is_valid,
@@ -178,7 +179,7 @@ def test_packing_bound_is_a_lower_bound(instance):
         want = oracle_clumsy_number(*instance)
     except OracleGuardError:
         assume(False)
-    _, notfar = _conflict_graph(_placement_cells(*instance))
+    notfar = _conflict_graph(_placement_cells(*instance))[2]
     assert _packing_bound(notfar, (1 << len(notfar)) - 1) <= want
 
 
@@ -239,6 +240,30 @@ def test_symmetric_shape_witnesses_are_lex_first(shape, n):
     size = result.clumsy_number + 1
     got = first_maximal_arrangement(shape, board, "free", size)
     assert (got and got.placements) == lex_first_maximal(shape, board, "free", size)
+
+
+@st.composite
+def wider_instances(draw):
+    """A polyomino of at most 5 cells on a board up to its cell count + 2."""
+    shape = draw(polyominoes(max_cells=5))
+    board = Board(draw(st.integers(1, shape.size + 2)))
+    return shape, board, draw(st.sampled_from(("fixed", "free")))
+
+
+def identity_group(shape, board, mode):
+    return [list(range(len(placement_masks(shape, board, mode)[0])))]
+
+
+@SETTINGS
+@given(wider_instances())
+def test_symmetry_pruning_keeps_cp_and_witness(instance):
+    # Past the oracle's reach: with the identity as the only symmetry no
+    # orbit is forbidden and every first pick is an orbit minimum.
+    want = clumsy_number(*instance)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_symmetry_group", identity_group)
+        got = clumsy_number(*instance)
+    assert (got.clumsy_number, got.witness) == (want.clumsy_number, want.witness)
 
 
 @SETTINGS

@@ -97,6 +97,41 @@ class TestLowerBound:
         assert is_valid(res.witness) and is_maximal(res.witness)
 
 
+# (shape, board, mode, cp, nodes) as the search counts them; any change to
+# what the search visits changes some count.  L(9,9) free on 19 opens at
+# k = 1, where the refuter's root tries its candidates one at a time and
+# forbids each refuted candidate's orbit.
+NODE_COUNTS = [
+    (ell(9, 9), 19, "free", 2, 445),
+    (ell(3, 6), 10, "free", 3, 993),
+    (tee(1, 1), 7, "free", 6, 19187),
+    (ell(1, 3), 8, "free", 6, 68587),
+    (rect(2, 2), 9, "fixed", 9, 122),
+]
+
+# (shape, board, mode, node budget, lower, upper, nodes) of budget stops in
+# the refuter (the first two) and in the witness phase.
+BUDGET_STOPS = [
+    (straight_v(3), 9, "free", 1_000, 11, 27, 1_001),
+    (ell(1, 3), 8, "free", 60_000, 6, 8, 60_001),
+    (tee(1, 1), 7, "free", 10_000, 6, 9, 10_001),
+]
+
+
+class TestNodeCounts:
+    @pytest.mark.parametrize("shape,n,mode,cp,nodes", NODE_COUNTS)
+    def test_solve(self, shape, n, mode, cp, nodes):
+        res = clumsy_number(shape, Board(n), mode)
+        assert (res.clumsy_number, res.nodes_explored) == (cp, nodes)
+
+    @pytest.mark.parametrize("shape,n,mode,budget,lower,upper,nodes", BUDGET_STOPS)
+    def test_budget_stop(self, shape, n, mode, budget, lower, upper, nodes):
+        with pytest.raises(BudgetExceededError) as ei:
+            clumsy_number(shape, Board(n), mode, node_budget=budget)
+        err = ei.value
+        assert (err.lower, err.upper, err.nodes) == (lower, upper, nodes)
+
+
 class TestGreedy:
     def test_greedy_is_maximal(self):
         arr = greedy_upper_bound(ell(3, 6), Board(10), "free")
@@ -157,8 +192,7 @@ class TestBudget:
             budget.spend(5000)
 
     def test_one_node_ticks_read_the_clock_and_hold_the_node_budget(self):
-        # The refuter's root and the witness phase count their candidates
-        # one at a time.
+        # The witness phase counts its candidates one at a time.
         budget = _Budget(10 ** 9, -1.0)
         with pytest.raises(_BudgetSignal):
             budget.tick()
@@ -232,6 +266,13 @@ class TestOracleGuards:
 
     def test_small_instance_unguarded(self):
         assert oracle_clumsy_number(plus(1), Board(5), "free") == 1
+
+    def test_mode_is_checked(self):
+        # "Fixed" is no mode; it must not pass as free, whose value differs.
+        assert oracle_clumsy_number(ell(1, 2), Board(5), "fixed") == 2
+        assert oracle_clumsy_number(ell(1, 2), Board(5), "free") == 3
+        with pytest.raises(ValueError, match="mode"):
+            oracle_clumsy_number(ell(1, 2), Board(5), "Fixed")
 
 
 class TestSymmetry:
