@@ -13,11 +13,17 @@ no two sharing a neighbour, each of which needs a pick of its own.  With
 more members than picks left the node is dead.  With one pick left, the
 pick is bit-parallel: the lowest allowed placement that dominates
 everything left.  With as many members as picks left, each pick dominates
-exactly one member, so the picks narrow to the members' neighbourhoods and
-the branch is on the member with the fewest allowed dominators.  Otherwise
-the branch is on the undominated placement with the fewest, scanned lowest
-first.  A refuted candidate is forbidden to its later siblings, and the
-loop runs on an explicit stack, so no depth meets Python's recursion limit.
+exactly one member.  An undominated placement that shares no dominator with
+any other member is private to its member: only that member's pick can
+dominate it.  So a member's candidates are its allowed dominators that
+dominate all its private placements too, tested bit-parallel.  A member
+left with none kills the node; otherwise the picks narrow to the union of
+these sets and the branch is on the member with the fewest.  (At the entry,
+the picks narrow to the members' neighbourhoods and the branch is on the
+member with the fewest allowed dominators.)  Otherwise the branch is on the
+undominated placement with the fewest, scanned lowest first.  A refuted
+candidate is forbidden to its later siblings, and the loop runs on an
+explicit stack, so no depth meets Python's recursion limit.
 
 The refuter calls the loop on the whole graph for k = start, start + 1,
 ...  One call at k refutes every size up to k, so the first k that succeeds
@@ -37,7 +43,9 @@ loop can complete with exactly the picks still needed, all above it
 
 A node is one candidate tested, in either phase, plus, at each bit-parallel
 last pick, the branch set's candidates up to the hit, or all of them when
-there is none.  The node and time budgets are checked as nodes are counted,
+there is none, and, at each narrowed node, the candidates its private
+placements reject: the branch member's, or all of those of the member that
+kills the node.  The node and time budgets are checked as nodes are counted,
 so they hold in both phases.
 
 A second, deliberately naive oracle recomputes small instances straight from
@@ -135,9 +143,14 @@ class _BudgetSignal(Exception):
     pass
 
 
-def _check_budget(node_budget: int) -> None:
+def _check_budget(node_budget: int, time_budget: float | None = None) -> None:
     if node_budget < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
+    # A NaN deadline compares False with every clock reading, so it would
+    # never fire; inf is no limit.
+    if time_budget is not None and not time_budget >= 0:
+        raise ValueError(f"time budget must be a non-negative number of seconds, "
+                         f"got {time_budget}")
 
 
 def _conflict_graph(cells: tuple[tuple[int, ...], ...]
@@ -225,11 +238,14 @@ def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed
     docstring says what the walk decides.  Each candidate tried is one node.
     The entry is not: it is the caller's candidate, or the refuter's root.
     The bit-parallel last pick counts the branch set's candidates up to the
-    hit, or all of them when there is none.  The entry never takes it, so
-    that with ``orbits`` its candidates are tried one at a time: the entry
-    is then the refuter's root, whose placement set the symmetry group maps
-    onto itself, and each candidate tried forbids its whole orbit to the
-    later ones, though its own subtree keeps the other members.
+    hit, or all of them when there is none.  At a narrowed node, each
+    candidate that a member's private placements reject counts as a node:
+    the branch member's rejected ones, or every candidate of the first
+    member left with none.  The entry takes neither rule, so that with
+    ``orbits`` its candidates are tried one at a time: the entry is then the
+    refuter's root, whose placement set the symmetry group maps onto
+    itself, and each candidate tried forbids its whole orbit to the later
+    ones, though its own subtree keeps the other members.
     """
     nbr, notnbr, notfar = graph
     nodes, stop = budget.nodes, budget.stop
@@ -238,10 +254,12 @@ def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed
     # need), and d, the picks that reached it.  While a deeper frame is in
     # use, saved[j + 1] holds frame j.  The entry's stand-in frame, d = -1,
     # has no candidates.  The node under evaluation is (u2, a2), reached by
-    # picks[:d + 1].  ws holds the packing walk's members.
+    # picks[:d + 1].  ws holds the packing walk's members, and rs[j] the
+    # walk's r before it took ws[j].
     saved: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)] * need
     picks = [0] * need
     ws = [0] * need
+    rs = [0] * need
     c, left, d = 0, need, -1
     u2 = undom
     a2 = before = allowed
@@ -257,6 +275,7 @@ def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed
             while True:
                 w = (r & -r).bit_length() - 1
                 ws[j] = w
+                rs[j] = r
                 r &= notfar[w]
                 j += 1
                 if not r or j == left:
@@ -282,25 +301,60 @@ def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed
                     budget.nodes = nodes
                     return (*picks[:d + 1], hit.bit_length() - 1), before
             else:
-                if j == left:
-                    # Each pick dominates exactly one member.
-                    scan = ws[:left]
-                    cover = 0
-                    for w in scan:
-                        cover |= nbr[w]
-                    a2 &= cover
-                else:
-                    scan = _indices(u2)
-                # Branch on the placement in scan with the fewest allowed
-                # dominators, stopping at MRV_EARLY_EXIT.
                 best, fewest = 0, a2.bit_count() + 1
-                for u in scan:
-                    b = nbr[u] & a2
-                    count = b.bit_count()
-                    if count < fewest:
-                        best, fewest = b, count
-                        if count <= MRV_EARLY_EXIT:
+                if j == left and d >= 0:
+                    # Each pick dominates exactly one member.  rs[t] & after
+                    # holds the placements private to ws[t]: ws[t] itself
+                    # and those that share no dominator with another member.
+                    # Only ws[t]'s pick can dominate them, so it dominates
+                    # them all.
+                    after = -1
+                    t = left
+                    while t:
+                        t -= 1
+                        rs[t] &= after
+                        after &= notfar[ws[t]]
+                    cover = 0
+                    for t in range(left):
+                        b, priv = a2, rs[t]
+                        while priv and b:
+                            low = priv & -priv
+                            b &= nbr[low.bit_length() - 1]
+                            priv ^= low
+                        if not b:
+                            # Every candidate of ws[t] is rejected.
+                            best, fewest, w = 0, 0, ws[t]
                             break
+                        count = b.bit_count()
+                        if count < fewest:
+                            best, fewest, w = b, count, ws[t]
+                        cover |= b
+                    # Each rejected candidate of the branch member, or of
+                    # the member that kills the node, is a node.
+                    nodes += (a2 & nbr[w]).bit_count() - fewest
+                    if nodes >= stop:
+                        stop = budget.spend(nodes - budget.nodes)
+                    a2 = cover
+                else:
+                    if j == left:
+                        # At the entry: each pick dominates exactly one
+                        # member.
+                        scan = ws[:left]
+                        cover = 0
+                        for w in scan:
+                            cover |= nbr[w]
+                        a2 &= cover
+                    else:
+                        scan = _indices(u2)
+                    # Branch on the placement in scan with the fewest
+                    # allowed dominators, stopping at MRV_EARLY_EXIT.
+                    for u in scan:
+                        b = nbr[u] & a2
+                        count = b.bit_count()
+                        if count < fewest:
+                            best, fewest = b, count
+                            if count <= MRV_EARLY_EXIT:
+                                break
                 if best:
                     d += 1
                     saved[d] = (c, undom, allowed, left)
@@ -503,7 +557,7 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
     Raises BudgetExceededError carrying the proved bracket when the node or
     time budget runs out first.
     """
-    _check_budget(node_budget)
+    _check_budget(node_budget, time_budget)
     if board is None:
         board = default_board(shape)
     start = time.monotonic()

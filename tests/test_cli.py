@@ -254,6 +254,19 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == "error: node budget must be non-negative, got -5\n"
 
+    def test_nan_time_budget(self, run_cli):
+        # A NaN deadline would never fire: this open instance would run on.
+        code, out, err = run_cli(["solve", "--family", "straight-v", "--params", "3",
+                                  "--board", "9", "--time-budget", "nan"])
+        assert (code, out) == (2, "")
+        assert err == "error: time budget must be a non-negative number of seconds, got nan\n"
+
+    def test_scan_negative_time_budget(self, run_cli):
+        code, out, err = run_cli(["scan", "T-free-exact", "--limit", "6",
+                                  "--time-budget", "-1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: time budget must be a non-negative number")
+
     def test_hypothesis_violation_noted_per_row(self, run_cli):
         # a bad row must not abort the rest of a table sweep
         code, out, _ = run_cli(["table", "--family", "straight-v",

@@ -12,10 +12,10 @@ from clumsypack.packing import (Board, Placement, _placement_cells, cells_of,
                                 enumerate_placements, is_maximal, is_valid,
                                 placement_masks)
 from clumsypack.solver import (ORACLE_SOFT_MAX_K, ORACLE_SOFT_PLACEMENTS,
-                               BudgetExceededError, OracleGuardError, _conflict_graph,
-                               _packing_bound, _symmetry_group, clumsy_number,
-                               first_maximal_arrangement, greedy_upper_bound,
-                               oracle_clumsy_number)
+                               BudgetExceededError, OracleGuardError, _Budget, _complete,
+                               _conflict_graph, _packing_bound, _symmetry_group,
+                               clumsy_number, first_maximal_arrangement,
+                               greedy_upper_bound, oracle_clumsy_number)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -277,3 +277,52 @@ def test_budget_bracket_contains_cp(instance, node_budget):
         assert exc.upper is None or value <= exc.upper
     else:
         assert got == value
+
+
+def brute_complete(nbr, undom, allowed, need, exact):
+    """Some independent set from ``allowed`` of exactly ``need`` placements
+    (at most ``need`` unless ``exact``) that dominates ``undom``, found by
+    trying every subset; None when there is none."""
+    candidates = [i for i in range(len(nbr)) if allowed >> i & 1]
+    for size in [need] if exact else range(need + 1):
+        for combo in itertools.combinations(candidates, size):
+            dom = 0
+            for i in combo:
+                if dom >> i & 1:
+                    break
+                dom |= nbr[i]
+            else:
+                if not undom & ~dom:
+                    return combo
+    return None
+
+
+@settings(SETTINGS, max_examples=300)
+@given(wider_instances(), st.data())
+def test_complete_matches_brute_force(instance, data):
+    # Random nodes of the search: an independent prefix of picks, the
+    # placements it leaves undominated, and an allowed subset of those.
+    # Removing a random mask leaves most of them allowed, as in the search,
+    # where narrowed nodes below the entry are common.
+    cells = _placement_cells(*instance)[:40]
+    assume(cells)
+    nbr, notnbr, _ = graph = _conflict_graph(cells)
+    undom = (1 << len(cells)) - 1
+    for i in data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=4)):
+        if undom >> i & 1:
+            undom &= notnbr[i]
+    allowed = undom & ~data.draw(st.integers(0, (1 << len(cells)) - 1))
+    need = data.draw(st.integers(0, 4))
+    exact = data.draw(st.booleans())
+    got = _complete(graph, undom, allowed, need, exact, _Budget(10 ** 9, None))
+    want = brute_complete(nbr, undom, allowed, need, exact)
+    assert (got is None) == (want is None)
+    if got is not None:
+        picks = got[0]
+        assert len(picks) == need if exact else len(picks) <= need
+        dom = 0
+        for i in picks:
+            assert allowed >> i & 1
+            assert not dom >> i & 1
+            dom |= nbr[i]
+        assert not undom & ~dom

@@ -104,17 +104,21 @@ class TestLowerBound:
 NODE_COUNTS = [
     (ell(9, 9), 19, "free", 2, 445),
     (ell(3, 6), 10, "free", 3, 993),
-    (tee(1, 1), 7, "free", 6, 19187),
-    (ell(1, 3), 8, "free", 6, 68587),
-    (rect(2, 2), 9, "fixed", 9, 122),
+    (tee(1, 1), 7, "free", 6, 6215),
+    (ell(1, 3), 8, "free", 6, 26871),
+    (rect(2, 2), 9, "fixed", 9, 82),
 ]
 
 # (shape, board, mode, node budget, lower, upper, nodes) of budget stops in
-# the refuter (the first two) and in the witness phase.
+# the refuter (the first two and the last) and in the witness phase (the
+# third).  straight(3) free on 9 counts 4 nodes and then rejects 9
+# candidates of one narrowed node at once; a budget of 8 falls inside that
+# batch, and the stop still reports one node past the budget.
 BUDGET_STOPS = [
     (straight_v(3), 9, "free", 1_000, 11, 27, 1_001),
-    (ell(1, 3), 8, "free", 60_000, 6, 8, 60_001),
-    (tee(1, 1), 7, "free", 10_000, 6, 9, 10_001),
+    (ell(1, 3), 8, "free", 10_000, 5, 8, 10_001),
+    (tee(1, 1), 7, "free", 5_000, 6, 9, 5_001),
+    (straight_v(3), 9, "free", 8, 9, 27, 9),
 ]
 
 
@@ -208,6 +212,17 @@ class TestBudget:
             clumsy_number(straight_v(5), mode="free", node_budget=-5)
         with pytest.raises(ValueError, match="node budget"):
             first_maximal_arrangement(tee(4, 3), Board(12), "free", 2, node_budget=-3)
+
+    @pytest.mark.parametrize("seconds", [float("nan"), -1.0])
+    def test_nan_or_negative_time_budget_rejected(self, seconds):
+        # time.monotonic() > nan is always False, so a NaN deadline would
+        # let this open instance run on.
+        with pytest.raises(ValueError, match="time budget"):
+            clumsy_number(straight_v(3), Board(9), "free", time_budget=seconds)
+
+    def test_infinite_time_budget_is_no_limit(self):
+        res = clumsy_number(ell(1, 2), Board(6), "free", time_budget=float("inf"))
+        assert res.clumsy_number == 4
 
     def test_zero_node_budget_stops_at_the_first_node(self):
         with pytest.raises(BudgetExceededError) as ei:
