@@ -14,7 +14,7 @@ import sys
 from typing import Iterable, Sequence
 
 from .files import FileFormatError, load_arrangement, save_arrangement
-from .geometry import Cell, Shape, make_shape
+from .geometry import Cell, Shape, check_family, make_shape
 from .packing import Board, default_board, is_maximal, validate
 from .render import render_ascii, render_svg
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceededError,
@@ -198,16 +198,14 @@ def _instance_label(family: str, params: Iterable[int], mode: str) -> str:
 
 def cmd_table(args: argparse.Namespace) -> int:
     ranges = [_parse_range(part) for part in args.params.split(",")]
+    check_family(args.family, len(ranges))
     grid = [()]
     for r in ranges:
         grid = [g + (v,) for g in grid for v in r]
     failed = False
     for params in grid:
         label = _instance_label(args.family, params, args.mode)
-        try:
-            routed = route(args.family, args.mode, params)
-        except (ValueError, TypeError):
-            routed = None
+        routed = route(args.family, args.mode, params)
         if routed is None:
             print(f"{label} | - | no applicable result")
             continue

@@ -212,25 +212,41 @@ _BY_KEY = {name.lower(): entry for name, entry in _FAMILY_TABLE.items()}
 FAMILIES = (*_FAMILY_TABLE, "custom")
 
 
-def make_shape(family: str, params: Iterable[int] = (),
-               custom_cells: Iterable[Cell] | None = None,
-               anchor: Cell | None = None) -> Shape:
-    """Build a shape from a family name and its integer parameters."""
+def check_family(family: str, count: int) -> None:
+    """Raise ValueError unless ``family`` names a family that takes
+    ``count`` parameters."""
     key = str(family).lower()
-    ps = tuple(int(p) for p in params)
     if key == "custom":
-        if ps:
-            raise ValueError(f"family 'custom' takes no parameters, got {len(ps)}")
-        if not custom_cells:
-            raise ValueError("family custom requires a cell list")
-        return custom(custom_cells, anchor)
+        if count:
+            raise ValueError(f"family 'custom' takes no parameters, got {count}")
+        return
     entry = _BY_KEY.get(key)
     if entry is None:
         raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
-    builder, arity = entry
-    if len(ps) != arity:
-        raise ValueError(f"family {family!r} takes {arity} parameter(s), got {len(ps)}")
-    return builder(*ps)
+    if count != entry[1]:
+        raise ValueError(f"family {family!r} takes {entry[1]} parameter(s), got {count}")
+
+
+def make_shape(family: str, params: Iterable[int] = (),
+               custom_cells: Iterable[Cell] | None = None,
+               anchor: Cell | None = None) -> Shape:
+    """Build a shape from a family name and its integer parameters.
+
+    Only family custom takes a cell list and an anchor; every other family
+    fixes both, so passing either raises ValueError.
+    """
+    key = str(family).lower()
+    ps = tuple(int(p) for p in params)
+    check_family(family, len(ps))
+    if key == "custom":
+        if not custom_cells:
+            raise ValueError("family custom requires a cell list")
+        return custom(custom_cells, anchor)
+    if custom_cells is not None:
+        raise ValueError(f"family {family!r} takes no custom cells; only family custom does")
+    if anchor is not None:
+        raise ValueError(f"family {family!r} takes no anchor; only family custom does")
+    return _BY_KEY[key][0](*ps)
 
 
 def rotate(shape: Shape, m: int) -> Shape:

@@ -4,13 +4,21 @@ A placement pins a shape to a board by saying where the anchor cell lands
 after an optional rotation.  An arrangement is an ordered tuple of placements
 of one shape on one board under one mode: ``fixed`` admits translations only,
 ``free`` admits the four rotations as well.  Reflections are never admitted.
+
+Cell (col, row) of an n x n board is bit (row-1)*n + (col-1) of an int
+mask.  The placement table of an instance (``_tables``) keeps one row per
+distinct orientation, the cell mask of every placement and its cell bits;
+``Placement`` objects are built from the rows only where asked for.  The
+validity check (``validate``), maximality (``is_maximal``) and the greedy
+seed check all run on one pass that shifts each piece's orientation mask to
+its anchor (``_occupancy``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .geometry import Cell, Shape, rotate
 
@@ -97,32 +105,82 @@ class Arrangement:
                            self.placements + (placement,))
 
 
+@lru_cache(maxsize=1024)
+def _orientation(shape: Shape, m: int, n: int) -> tuple[int, int, int, int, int]:
+    """Rotation m of the shape on an n x n board: (ac, ar, width, height,
+    corner mask).
+
+    (ac, ar) is the rotated anchor and the corner mask holds the rotated
+    cells with the piece's upper-left corner on cell (1, 1), so the piece
+    with its anchor on (col, row) covers corner << ((row - ar) * n + (col -
+    ac)).  The mask means nothing when the piece is wider than the board.
+    """
+    rot = rotate(shape, m)
+    corner = 0
+    for c in rot.cells:
+        corner |= 1 << ((c.row - 1) * n + (c.col - 1))
+    return rot.anchor.col, rot.anchor.row, rot.width, rot.height, corner
+
+
+def _occupancy(arrangement: Arrangement) -> tuple[str | None, int]:
+    """Why the arrangement is invalid, or None, and the union of its cell
+    masks when it is valid.
+
+    Checks, in order: every placement uses a rotation allowed by the mode,
+    stays on the board, and no two placements overlap.  A placement is its
+    orientation's corner mask shifted to its anchor, once the anchor is
+    known to keep the piece on the board.  Placement indices in messages
+    are 1-based.
+    """
+    n = arrangement.board.n
+    fixed = arrangement.mode == "fixed"
+    orientations: dict[int, tuple[int, int, int, int, int]] = {}
+    masks = []
+    occ = 0
+    overlap = False
+    for idx, p in enumerate(arrangement.placements, start=1):
+        m = p.rotation
+        if fixed and m:
+            return f"placement {idx} uses rotation {m} but mode is fixed", 0
+        o = orientations.get(m)
+        if o is None:
+            o = orientations[m] = _orientation(arrangement.shape, m, n)
+        ac, ar, width, height, corner = o
+        dc = p.anchor_pos.col - ac
+        dr = p.anchor_pos.row - ar
+        if not (0 <= dc <= n - width and 0 <= dr <= n - height):
+            for c in cells_of(arrangement.shape, p):
+                if c not in arrangement.board:
+                    return (f"placement {idx} off board: cell ({c.col}, {c.row}) "
+                            f"outside 1..{n}"), 0
+        mask = corner << (dr * n + dc)
+        if occ & mask:
+            overlap = True
+        occ |= mask
+        masks.append(mask)
+    if overlap:
+        # The least i whose mask meets a later one is the first member of
+        # the least overlapping pair; its least such partner is the second.
+        later = [0] * len(masks)
+        after = 0
+        for i in range(len(masks) - 1, -1, -1):
+            later[i] = after
+            after |= masks[i]
+        i = next(i for i, mask in enumerate(masks) if mask & later[i])
+        j = next(j for j in range(i + 1, len(masks)) if masks[i] & masks[j])
+        return f"placements {i + 1} and {j + 1} overlap", 0
+    return None, occ
+
+
 def validate(arrangement: Arrangement) -> str | None:
     """None when the arrangement is valid, else a reason.
 
     Checks, in order: every placement uses a rotation allowed by the mode,
-    stays on the board, and no two placements overlap.  Placement indices in
-    messages are 1-based.
+    stays on the board, and no two placements overlap.  The first bad
+    placement in order is reported; an overlap names the least pair.
+    Placement indices in messages are 1-based.
     """
-    board = arrangement.board
-    shape = arrangement.shape
-    # The first owner of a shared cell is the lowest placement on it, so the
-    # least (owner, idx) hit is the least overlapping pair.
-    owner: dict[Cell, int] = {}
-    overlap: tuple[int, int] | None = None
-    for idx, p in enumerate(arrangement.placements, start=1):
-        if arrangement.mode == "fixed" and p.rotation % 4 != 0:
-            return f"placement {idx} uses rotation {p.rotation % 4} but mode is fixed"
-        for c in cells_of(shape, p):
-            if c not in board:
-                return (f"placement {idx} off board: cell ({c.col}, {c.row}) "
-                        f"outside 1..{board.n}")
-            first = owner.setdefault(c, idx)
-            if first != idx and (overlap is None or (first, idx) < overlap):
-                overlap = (first, idx)
-    if overlap is not None:
-        return f"placements {overlap[0]} and {overlap[1]} overlap"
-    return None
+    return _occupancy(arrangement)[0]
 
 
 def is_valid(arrangement: Arrangement) -> bool:
@@ -136,49 +194,80 @@ def enumerate_placements(shape: Shape, board: Board, mode: str) -> tuple[Placeme
     placements covering the same cells (a rotationally symmetric shape) are
     deduplicated keeping the earlier one.
     """
-    return _tables(shape, board, mode)[0]
+    return _placements(shape, board, mode)
 
 
 @lru_cache(maxsize=256)
 def _tables(shape: Shape, board: Board, mode: str
-            ) -> tuple[tuple[Placement, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Placements, their cell bitmasks, and their cell bits lowest first.
+            ) -> tuple[tuple[tuple[int, int, int, int, int], ...], tuple[int, ...],
+                       tuple[tuple[int, ...], ...], list[tuple[Placement, ...]]]:
+    """Orientation rows, the placements' cell bitmasks, their cell bits
+    lowest first, and a slot for the tuple of every ``Placement``, which
+    ``_placements`` fills on first use.
 
-    Cell (col, row) is bit (row-1)*n + (col-1).  Each orientation is rotated
-    once: its cells become sorted bit offsets from the upper-left corner,
-    and moving the anchor from (ac, ar) to (col, row) shifts them all by
-    (row - ar) * n + (col - ac).  The anchor ranges keep the whole piece on
-    the board, so no shift carries a cell across a row end.
+    Cell (col, row) is bit (row-1)*n + (col-1).  Each rotation the mode
+    admits is rotated once (``_orientation``).  A rotation whose cells
+    equal those of an earlier one has exactly its translates, so it is
+    skipped; this is the only way two placements can cover the same cells.
+    Each kept orientation is one row (rotation, col, row, ncols, first):
+    its placements get the indices from first on, anchor row by anchor row,
+    and the one anchored on (col + r, row + q), for r < ncols, is the
+    corner mask shifted by q * n + r.  The anchor ranges keep the whole
+    piece on the board, so no shift carries a cell across a row end.  A
+    quarter turn swaps width and height, so either every rotation fits on
+    the board or none does, and the corner masks of rotations that fit are
+    equal exactly when their cells are.
     """
     _check_mode(mode)
     n = board.n
-    placements: list[Placement] = []
+    rows: list[tuple[int, int, int, int, int]] = []
     masks: list[int] = []
     cells: list[tuple[int, ...]] = []
-    seen: set[int] = set()
+    kept: list[int] = []
     for m in (0,) if mode == "fixed" else (0, 1, 2, 3):
-        rot = rotate(shape, m)
-        ac, ar = rot.anchor
-        offsets = sorted((c.row - 1) * n + (c.col - 1) for c in rot.cells)
-        base = sum(1 << b for b in offsets)
-        for row in range(ar, n - (rot.height - ar) + 1):
-            for col in range(ac, n - (rot.width - ac) + 1):
-                shift = (row - ar) * n + (col - ac)
-                mask = base << shift
-                if mask in seen:
-                    continue
-                seen.add(mask)
-                placements.append(Placement(m, Cell(col, row)))
-                masks.append(mask)
-                cells.append(tuple(b + shift for b in offsets))
-    return tuple(placements), tuple(masks), tuple(cells)
+        ac, ar, width, height, corner = _orientation(shape, m, n)
+        if width > n or height > n or corner in kept:
+            continue
+        kept.append(corner)
+        ncols = n - width + 1
+        rows.append((m, ac, ar, ncols, len(masks)))
+        offsets = [b for b in range(corner.bit_length()) if corner >> b & 1]
+        shifts = [q * n + r for q in range(n - height + 1) for r in range(ncols)]
+        masks += [corner << s for s in shifts]
+        cells += [tuple([b + s for b in offsets]) for s in shifts]
+    return tuple(rows), tuple(masks), tuple(cells), []
+
+
+def _placements_at(shape: Shape, board: Board, mode: str,
+                   indices: Iterable[int]) -> tuple[Placement, ...]:
+    """The placements with the given table indices: the objects of the
+    full tuple once it is built, else new ones read off the orientation
+    rows."""
+    rows, _, _, built = _tables(shape, board, mode)
+    if built:
+        return tuple(built[0][i] for i in indices)
+    out = []
+    for i in indices:
+        for m, col, row, ncols, first in reversed(rows):
+            if i >= first:
+                q, r = divmod(i - first, ncols)
+                out.append(Placement(m, Cell(col + r, row + q)))
+                break
+    return tuple(out)
+
+
+def _placements(shape: Shape, board: Board, mode: str) -> tuple[Placement, ...]:
+    """Every placement of the table, built once on first use."""
+    _, masks, _, built = _tables(shape, board, mode)
+    if not built:
+        built.append(_placements_at(shape, board, mode, range(len(masks))))
+    return built[0]
 
 
 def placement_masks(shape: Shape, board: Board, mode: str
                     ) -> tuple[tuple[Placement, ...], tuple[int, ...]]:
     """Public view of the cached placement/bitmask tables."""
-    placements, masks, _ = _tables(shape, board, mode)
-    return placements, masks
+    return _placements(shape, board, mode), _tables(shape, board, mode)[1]
 
 
 def _placement_cells(shape: Shape, board: Board, mode: str) -> tuple[tuple[int, ...], ...]:
@@ -192,13 +281,9 @@ def is_maximal(arrangement: Arrangement) -> bool:
     Raises ValueError for an invalid arrangement: maximality is only defined
     on valid ones.
     """
-    reason = validate(arrangement)
+    reason, occ = _occupancy(arrangement)
     if reason is not None:
         raise ValueError(f"arrangement is invalid: {reason}")
-    n = arrangement.board.n
-    occ = 0
-    for c in arrangement.occupied_cells():
-        occ |= 1 << ((c.row - 1) * n + (c.col - 1))
     masks = _tables(arrangement.shape, arrangement.board, arrangement.mode)[1]
     return all(m & occ for m in masks)
 

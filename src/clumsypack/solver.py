@@ -60,8 +60,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .geometry import Cell, Shape, rotate
-from .packing import (Arrangement, Board, Placement, _check_mode, _placement_cells,
-                      default_board, placement_masks, validate)
+from .packing import (Arrangement, Board, Placement, _check_mode, _occupancy,
+                      _placements_at, _tables, default_board)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -435,8 +435,8 @@ def _symmetry_group(shape: Shape, board: Board, mode: str) -> list[list[int]]:
     f after each power of t.  In both modes, one belongs to the group when
     it maps every placement onto a placement.
 
-    The table holds every translate that fits of each rotation it keeps,
-    in one run of indices per rotation, and a symmetry moves a rotation's
+    The table holds every translate that fits of each orientation it
+    keeps, in one run of indices per row, and a symmetry moves a rotation's
     translates alike.  So a symmetry belongs to the group when it maps the
     first placement of each run onto a placement; if that image's lowest
     bit comes from cell k and the image is pattern << that bit, the image
@@ -444,12 +444,10 @@ def _symmetry_group(shape: Shape, board: Board, mode: str) -> list[list[int]]:
     that is the product of two members found earlier gets its map by
     composing theirs.
     """
-    placements, masks = placement_masks(shape, board, mode)
-    cells = _placement_cells(shape, board, mode)
+    rows, masks, cells, _ = _tables(shape, board, mode)
     n = board.n
     index_of = {m: i for i, m in enumerate(masks)}
-    rotations = [pl.rotation for pl in placements]
-    starts = [rotations.index(rot) for rot in dict.fromkeys(rotations)]
+    starts = [first for *_, first in rows]
     runs = list(zip(starts, starts[1:] + [len(masks)]))
     # Cell (col, row) goes to (n - 1 - row, col) under t, to (row, col)
     # under f.
@@ -524,29 +522,26 @@ def greedy_upper_bound(shape: Shape, board: Board | None = None,
     """
     if board is None:
         board = default_board(shape)
-    placements, masks = placement_masks(shape, board, mode)
+    masks = _tables(shape, board, mode)[1]
     arr = Arrangement(board, shape, mode, tuple(seed))
-    reason = validate(arr)
+    reason, occ = _occupancy(arr)
     if reason is not None:
         raise ValueError(f"seed is invalid: {reason}")
-    occ = 0
-    n = board.n
-    for c in arr.occupied_cells():
-        occ |= 1 << ((c.row - 1) * n + (c.col - 1))
-    chosen = list(arr.placements)
-    for pl, m in zip(placements, masks):
+    chosen = []
+    for i, m in enumerate(masks):
         if m & occ == 0:
-            chosen.append(pl)
+            chosen.append(i)
             occ |= m
-    return Arrangement(board, shape, mode, tuple(chosen))
+    return Arrangement(board, shape, mode,
+                       arr.placements + _placements_at(shape, board, mode, chosen))
 
 
 def _setup(shape: Shape, board: Board, mode: str
-           ) -> tuple[tuple[Placement, ...], tuple[list[int], list[int], list[int]], list[int]]:
-    """The placements of an instance, its search graph and its orbit masks."""
-    placements = placement_masks(shape, board, mode)[0]
-    graph = _conflict_graph(_placement_cells(shape, board, mode))
-    return placements, graph, _orbits(_symmetry_group(shape, board, mode))
+           ) -> tuple[int, tuple[list[int], list[int], list[int]], list[int]]:
+    """The placement count of an instance, its search graph and its orbit
+    masks."""
+    _, masks, cells, _ = _tables(shape, board, mode)
+    return len(masks), _conflict_graph(cells), _orbits(_symmetry_group(shape, board, mode))
 
 
 def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
@@ -561,15 +556,15 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
     if board is None:
         board = default_board(shape)
     start = time.monotonic()
-    placements, graph, orbits = _setup(shape, board, mode)
-    if not placements:
+    count, graph, orbits = _setup(shape, board, mode)
+    if not count:
         # Nothing fits, so the empty arrangement is maximal.
         empty = Arrangement(board, shape, mode, ())
         return SolveResult(0, empty, 0, time.monotonic() - start)
 
     greedy = greedy_upper_bound(shape, board, mode)
     upper = greedy.size
-    full = (1 << len(placements)) - 1
+    full = (1 << count) - 1
     k = _packing_bound(graph[2], full)
     if k == upper:
         # Greedy keeps, in index order, each placement that fits beside the
@@ -596,7 +591,7 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
         got = _lex_first(graph, _orbit_minima(orbits), allowed, k, budget, found)
     except _BudgetSignal:
         raise BudgetExceededError(k, upper, budget.nodes) from None
-    witness = Arrangement(board, shape, mode, tuple(placements[i] for i in got))
+    witness = Arrangement(board, shape, mode, _placements_at(shape, board, mode, got))
     return SolveResult(k, witness, budget.nodes, time.monotonic() - start)
 
 
@@ -613,18 +608,17 @@ def first_maximal_arrangement(shape: Shape, board: Board | None = None,
         board = default_board(shape)
     if size is None:
         return clumsy_number(shape, board, mode, node_budget=node_budget).witness
-    placements, graph, orbits = _setup(shape, board, mode)
-    if not placements:
+    count, graph, orbits = _setup(shape, board, mode)
+    if not count:
         return Arrangement(board, shape, mode, ()) if size == 0 else None
     budget = _Budget(node_budget, None)
     try:
-        got = _lex_first(graph, _orbit_minima(orbits), (1 << len(placements)) - 1, size,
-                         budget)
+        got = _lex_first(graph, _orbit_minima(orbits), (1 << count) - 1, size, budget)
     except _BudgetSignal:
         raise BudgetExceededError(0, None, budget.nodes) from None
     if got is None:
         return None
-    return Arrangement(board, shape, mode, tuple(placements[i] for i in got))
+    return Arrangement(board, shape, mode, _placements_at(shape, board, mode, got))
 
 
 # The definitional oracle refuses boards whose placement count would make

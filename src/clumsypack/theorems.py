@@ -18,7 +18,7 @@ from enum import Enum, unique
 from typing import Callable
 
 from .geometry import Cell, Shape, custom, ell, plus, rect, straight_v, tee
-from .packing import Arrangement, Board, Placement, is_maximal, is_valid, placement_masks
+from .packing import Arrangement, Board, Placement, _tables, is_maximal, is_valid
 from .solver import DEFAULT_NODE_BUDGET, clumsy_number, first_maximal_arrangement
 
 
@@ -354,7 +354,7 @@ def check_theorem(theorem: TheoremId, params: tuple[int, ...],
     solver_value: int | None = None
     if with_solver:
         shape, board, mode = instance_of(theorem, ps)
-        if len(placement_masks(shape, board, mode)[0]) <= SOLVER_PLACEMENT_LIMIT:
+        if len(_tables(shape, board, mode)[1]) <= SOLVER_PLACEMENT_LIMIT:
             solver_value = clumsy_number(
                 shape, board, mode, node_budget=node_budget).clumsy_number
     consistent = construction_ok is not False

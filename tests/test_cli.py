@@ -19,6 +19,15 @@ def example_file(tmp_path, name):
 
 
 class TestSolve:
+    @pytest.mark.parametrize("extra,word", [(["--custom-cells", "1,1;2,1"], "custom cells"),
+                                            (["--anchor", "1,1"], "anchor")])
+    def test_named_family_refuses_custom_options(self, run_cli, extra, word):
+        # These used to be ignored: the command solved T(1,1) and exited 0.
+        code, out, err = run_cli(["solve", "--family", "T", "--params", "1,1",
+                                  "--board", "5", *extra])
+        assert (code, out) == (2, "")
+        assert err == f"error: family 'T' takes no {word}; only family custom does\n"
+
     def test_small_instance(self, run_cli):
         code, out, err = run_cli(["solve", "--family", "L", "--params", "3,6"])
         assert code == 0 and err == ""
@@ -138,6 +147,30 @@ class TestTable:
                             "(construction ok; solver 1)")
         assert lines[1] == ("rect(2,3) fixed | RectFixed | 2 | consistent "
                             "(construction ok; solver 2)")
+
+    def test_wrong_range_count_is_a_usage_error(self, run_cli):
+        # Each row used to print "no applicable result", with exit 0.
+        code, out, err = run_cli(["table", "--family", "rect", "--mode", "fixed",
+                                  "--params", "2..3"])
+        assert (code, out) == (2, "")
+        assert err == "error: family 'rect' takes 2 parameter(s), got 1\n"
+        code, out, err = run_cli(["table", "--family", "plus", "--mode", "free",
+                                  "--params", "1..2,1"])
+        assert (code, out) == (2, "")
+        assert err == "error: family 'plus' takes 1 parameter(s), got 2\n"
+
+    def test_unknown_family_is_a_usage_error(self, run_cli):
+        code, out, err = run_cli(["table", "--family", "hexagon", "--mode", "free",
+                                  "--params", "1..3"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown family 'hexagon'")
+
+    def test_family_without_a_claim_keeps_its_rows(self, run_cli):
+        code, out, _ = run_cli(["table", "--family", "gen-T", "--mode", "free",
+                                "--params", "1,1,1..2"])
+        assert code == 0
+        assert out.splitlines() == ["gen-T(1,1,1) free | - | no applicable result",
+                                    "gen-T(1,1,2) free | - | no applicable result"]
 
     def test_check_flags_refuted_conjecture(self, run_cli):
         code, out, _ = run_cli(["table", "--family", "L", "--mode", "fixed",

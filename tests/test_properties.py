@@ -2,15 +2,16 @@
 
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from clumsypack import solver
 from clumsypack.geometry import Cell, custom, plus, rect, rotate, straight_v, tee
-from clumsypack.packing import (Board, Placement, _placement_cells, cells_of,
-                                enumerate_placements, is_maximal, is_valid,
-                                placement_masks)
+from clumsypack.packing import (Arrangement, Board, Placement, _placement_cells,
+                                _placements_at, _tables, cells_of, enumerate_placements,
+                                is_maximal, is_valid, placement_masks, validate)
 from clumsypack.solver import (ORACLE_SOFT_MAX_K, ORACLE_SOFT_PLACEMENTS,
                                BudgetExceededError, OracleGuardError, _Budget, _complete,
                                _conflict_graph, _packing_bound, _symmetry_group,
@@ -99,7 +100,13 @@ def reference_tables(shape, board, mode):
 def test_tables_match_cells_of_reference(shape, n, mode):
     board = Board(n)
     placements, masks, bits = reference_tables(shape, board, mode)
+    # Placements are read off the orientation rows until the full tuple is
+    # built, and taken from it afterwards.
+    _tables.cache_clear()
+    assert _placements_at(shape, board, mode, range(len(placements))) == placements
     assert placement_masks(shape, board, mode) == (placements, masks)
+    assert (_placements_at(shape, board, mode, reversed(range(len(placements))))
+            == placements[::-1])
     assert enumerate_placements(shape, board, mode) == placements
     assert _placement_cells(shape, board, mode) == bits
 
@@ -158,6 +165,103 @@ def test_rotation_the_table_drops_still_works(shape, n, dropped):
     # The seed's cells decide the rest, not the rotation naming them.
     assert got.placements[1:] == greedy_upper_bound(shape, board, "free",
                                                     seed=(twin,)).placements[1:]
+
+
+def reference_validate(arrangement):
+    """The per-cell check: each placement's cells from ``cells_of``, and a
+    dict from cell to the first placement on it.  The first owner of a
+    shared cell is the lowest placement on it, so the least (owner, idx)
+    hit is the least overlapping pair."""
+    board = arrangement.board
+    owner = {}
+    overlap = None
+    for idx, p in enumerate(arrangement.placements, start=1):
+        if arrangement.mode == "fixed" and p.rotation % 4 != 0:
+            return f"placement {idx} uses rotation {p.rotation % 4} but mode is fixed"
+        for c in cells_of(arrangement.shape, p):
+            if c not in board:
+                return (f"placement {idx} off board: cell ({c.col}, {c.row}) "
+                        f"outside 1..{board.n}")
+            first = owner.setdefault(c, idx)
+            if first != idx and (overlap is None or (first, idx) < overlap):
+                overlap = (first, idx)
+    if overlap is not None:
+        return f"placements {overlap[0]} and {overlap[1]} overlap"
+    return None
+
+
+def reference_occupancy(arrangement):
+    """Cell mask of ``occupied_cells``."""
+    n = arrangement.board.n
+    occ = 0
+    for c in arrangement.occupied_cells():
+        occ |= 1 << ((c.row - 1) * n + (c.col - 1))
+    return occ
+
+
+def reference_greedy(arrangement):
+    """The seed, then every table placement that still fits, in order."""
+    placements, masks = placement_masks(arrangement.shape, arrangement.board,
+                                        arrangement.mode)
+    occ = reference_occupancy(arrangement)
+    chosen = list(arrangement.placements)
+    for pl, m in zip(placements, masks):
+        if not m & occ:
+            chosen.append(pl)
+            occ |= m
+    return tuple(chosen)
+
+
+# Shapes that some rotation maps onto themselves, so the free table drops
+# that rotation.
+SYMMETRIC = (rect(1, 1), rect(2, 2), straight_v(2), straight_v(3), plus(1),
+             custom([Cell(2, 1), Cell(3, 1), Cell(1, 2), Cell(2, 2)]))
+
+
+@st.composite
+def arrangements(draw):
+    """Arrangements mixing table placements, repeats of earlier pieces (so
+    overlaps), any rotation at an on-board anchor (wrong in fixed mode, or
+    dropped by the table) and anchors past the edges."""
+    shape = draw(st.one_of(polyominoes(5), st.sampled_from(SYMMETRIC)))
+    n = draw(st.integers(1, 7))
+    mode = draw(st.sampled_from(("fixed", "free")))
+    board = Board(n)
+    table = enumerate_placements(shape, board, mode)
+    placements = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("table", "table", "repeat", "turn", "edge")))
+        if kind == "table" and table:
+            p = draw(st.sampled_from(table))
+        elif kind == "repeat" and placements:
+            p = draw(st.sampled_from(placements))
+        elif kind == "edge":
+            p = Placement(draw(st.integers(0, 3)),
+                          Cell(draw(st.integers(-1, n + 2)), draw(st.integers(-1, n + 2))))
+        else:
+            p = Placement(draw(st.integers(0, 3)),
+                          Cell(draw(st.integers(1, n)), draw(st.integers(1, n))))
+        placements.append(p)
+    return Arrangement(board, shape, mode, tuple(placements))
+
+
+@settings(SETTINGS, max_examples=400)
+@given(arrangements())
+def test_mask_check_matches_per_cell_reference(arrangement):
+    reason = reference_validate(arrangement)
+    assert validate(arrangement) == reason
+    shape, board, mode = arrangement.shape, arrangement.board, arrangement.mode
+    if reason is None:
+        assert is_maximal(arrangement) == all(
+            m & reference_occupancy(arrangement)
+            for m in placement_masks(shape, board, mode)[1])
+        got = greedy_upper_bound(shape, board, mode, seed=arrangement.placements)
+        assert got.placements == reference_greedy(arrangement)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"arrangement is invalid: {reason}")):
+            is_maximal(arrangement)
+        with pytest.raises(ValueError, match=re.escape(f"seed is invalid: {reason}")):
+            greedy_upper_bound(shape, board, mode, seed=arrangement.placements)
 
 
 @settings(SETTINGS, max_examples=100)
