@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 from .files import FileFormatError, load_arrangement, save_arrangement
 from .geometry import Cell, Shape, check_family, make_shape
-from .packing import Board, default_board, is_maximal, validate
-from .render import render_ascii, render_svg
+from .packing import Board, _verdict, default_board
+from .render import InvalidArrangementError, render_ascii, render_svg
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceededError,
                      OracleGuardError, clumsy_number, oracle_clumsy_number)
 from .theorems import (TheoremId, check_theorem, formula_value, instance_of,
@@ -174,12 +174,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     arrangement = load_arrangement(args.file)
-    reason = validate(arrangement)
+    reason, maximal = _verdict(arrangement)
     if reason is not None:
         print(f"invalid: {reason}")
         return EXIT_FAIL
     size = arrangement.size
-    if is_maximal(arrangement):
+    if maximal:
         print(f"valid, maximal, size {size}")
         return EXIT_OK
     print(f"valid, NOT maximal, size {size}")
@@ -232,12 +232,12 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     arrangement = load_arrangement(args.file)
-    reason = validate(arrangement)
-    if reason is not None:
-        print(f"error: cannot render an invalid arrangement: {reason}",
-              file=sys.stderr)
+    try:
+        text = (render_ascii(arrangement) if args.format == "ascii"
+                else render_svg(arrangement))
+    except InvalidArrangementError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    text = render_ascii(arrangement) if args.format == "ascii" else render_svg(arrangement)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

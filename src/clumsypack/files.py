@@ -7,10 +7,21 @@ Deserializing a serialized arrangement reproduces it exactly; the one
 normalization applied on write is that custom shapes are re-anchored to
 their lexicographically least cell, with placements shifted to compensate,
 so equal cell sets always serialize the same way.
+
+Placement rows skip PyYAML's object layer, which costs far more than the
+parsing itself.  ``dumps`` prints integer rows with f-strings and leaves
+the rest of the document to PyYAML.  ``loads`` reads the layout ``dumps``
+writes for a named family with one regular expression
+(``_parse_canonical``): the five keys in order, block lists or ``[]``, rows
+of exactly rotation, anchor_col and anchor_row, and integers in plain
+decimal.  It gives the values PyYAML would.  Any other text, custom shapes'
+files included, goes through PyYAML, and both routes end in the same
+checks and error messages.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import yaml
@@ -22,6 +33,20 @@ from .packing import Arrangement, Board, Placement
 # libyaml's C loader and dumper when PyYAML was built with it, else pure Python.
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+# The text dumps writes for a named family, and nothing else: a YAML 1.1
+# resolver reads other spellings (07, 1_000, +5, 0x1F, quotes, flow style)
+# with their own meanings, so those go to PyYAML.  Each repeated group starts
+# with a literal and each integer ends at a newline, so matching is linear.
+_INT = r"(?:0|-?[1-9][0-9]*)"
+_CANONICAL = re.compile(
+    rf"board_n: ({_INT})\n"
+    rf"family: ({'|'.join(map(re.escape, FAMILIES))})\n"
+    rf"params:(?: \[\]\n|\n((?:- {_INT}\n)+))"
+    r"mode: (fixed|free)\n"
+    r"placements:(?: \[\]\n|\n("
+    rf"(?:- rotation: {_INT}\n  anchor_col: {_INT}\n  anchor_row: {_INT}\n)+))")
 
 
 class FileFormatError(ValueError):
@@ -78,20 +103,51 @@ def to_arrangement(doc: ArrangementFile) -> Arrangement:
 
 
 def dumps(doc: ArrangementFile) -> str:
-    body: dict = {
+    """The document as YAML, byte for byte what
+    ``yaml.safe_dump(body, sort_keys=False)`` writes."""
+    head: dict = {
         "board_n": doc.board_n,
         "family": doc.family,
         "params": list(doc.params),
         "mode": doc.mode,
-        "placements": [
-            {"rotation": row["rotation"],
-             "anchor_col": row["anchor_col"],
-             "anchor_row": row["anchor_row"]}
-            for row in doc.placements],
     }
+    tail: dict = {}
     if doc.family == "custom":
-        body["custom_cells"] = [[c.col, c.row] for c in doc.custom_cells or ()]
-    return yaml.dump(body, Dumper=_Dumper, sort_keys=False)
+        tail["custom_cells"] = [[c.col, c.row] for c in doc.custom_cells or ()]
+    rows = [(row["rotation"], row["anchor_col"], row["anchor_row"])
+            for row in doc.placements]
+    if not rows or any(type(v) is not int for row in rows for v in row):
+        # PyYAML writes [] and spells other values (True as true) its way.
+        head["placements"] = [
+            {"rotation": r, "anchor_col": c, "anchor_row": w} for r, c, w in rows]
+        return yaml.dump(head | tail, Dumper=_Dumper, sort_keys=False)
+    # An int prints as str(int) in YAML too, so the rows need no emitter.
+    text = yaml.dump(head, Dumper=_Dumper, sort_keys=False) + "placements:\n"
+    text += "".join(f"- rotation: {r}\n  anchor_col: {c}\n  anchor_row: {w}\n"
+                    for r, c, w in rows)
+    if tail:
+        text += yaml.dump(tail, Dumper=_Dumper, sort_keys=False)
+    return text
+
+
+def _parse_canonical(text: str) -> dict | None:
+    """What ``yaml.load`` gives for a text in the layout ``dumps`` writes for
+    a named family, or None for any other text."""
+    match = _CANONICAL.fullmatch(text)
+    if match is None:
+        return None
+    board_n, family, params, mode, rows = match.groups()
+    # A params line splits into "-" and the value; a row into "-",
+    # "rotation:", r, "anchor_col:", c, "anchor_row:" and w.
+    words = (rows or "").split()
+    return {
+        "board_n": int(board_n),
+        "family": family,
+        "params": [int(p) for p in (params or "").split()[1::2]],
+        "mode": mode,
+        "placements": [{"rotation": int(r), "anchor_col": int(c), "anchor_row": int(w)}
+                       for r, c, w in zip(words[2::7], words[4::7], words[6::7])],
+    }
 
 
 def _need_int(value, where: str) -> int:
@@ -101,10 +157,12 @@ def _need_int(value, where: str) -> int:
 
 
 def loads(text: str) -> ArrangementFile:
-    try:
-        body = yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
-        raise FileFormatError(f"not valid YAML: {exc}") from None
+    body = _parse_canonical(text)
+    if body is None:
+        try:
+            body = yaml.load(text, Loader=_Loader)
+        except yaml.YAMLError as exc:
+            raise FileFormatError(f"not valid YAML: {exc}") from None
     if not isinstance(body, dict):
         raise FileFormatError("top level must be a mapping")
     allowed = {"board_n", "family", "params", "mode", "placements", "custom_cells"}
@@ -160,13 +218,20 @@ def loads(text: str) -> ArrangementFile:
         raw_cells = body["custom_cells"]
         if not isinstance(raw_cells, list) or not raw_cells:
             raise FileFormatError("custom_cells must be a non-empty list of [col, row] pairs")
-        cells = []
+        cells: list[Cell] = []
+        seen: set[Cell] = set()
         for i, pair in enumerate(raw_cells, start=1):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise FileFormatError(
                     f"custom_cells entry {i} must be a [col, row] pair")
-            cells.append(Cell(_need_int(pair[0], f"custom_cells entry {i} col"),
-                              _need_int(pair[1], f"custom_cells entry {i} row")))
+            cell = Cell(_need_int(pair[0], f"custom_cells entry {i} col"),
+                        _need_int(pair[1], f"custom_cells entry {i} row"))
+            # The shape is a cell set: a repeat would not survive a save.
+            if cell in seen:
+                raise FileFormatError(
+                    f"custom_cells entry {i} repeats cell ({cell.col}, {cell.row})")
+            seen.add(cell)
+            cells.append(cell)
         custom_cells = tuple(cells)
     elif "custom_cells" in body:
         raise FileFormatError("custom_cells is only allowed for family custom")

@@ -11,7 +11,8 @@ distinct orientation, the cell mask of every placement and its cell bits;
 ``Placement`` objects are built from the rows only where asked for.  The
 validity check (``validate``), maximality (``is_maximal``) and the greedy
 seed check all run on one pass that shifts each piece's orientation mask to
-its anchor (``_occupancy``).
+its anchor (``_occupancy``); ``_verdict`` gives validity and maximality
+from one such pass.
 """
 
 from __future__ import annotations
@@ -275,17 +276,26 @@ def _placement_cells(shape: Shape, board: Board, mode: str) -> tuple[tuple[int, 
     return _tables(shape, board, mode)[2]
 
 
+def _verdict(arrangement: Arrangement) -> tuple[str | None, bool]:
+    """``validate``'s reason, and whether the arrangement is maximal (False
+    when it is invalid), from one occupancy pass."""
+    reason, occ = _occupancy(arrangement)
+    if reason is not None:
+        return reason, False
+    masks = _tables(arrangement.shape, arrangement.board, arrangement.mode)[1]
+    return None, all(m & occ for m in masks)
+
+
 def is_maximal(arrangement: Arrangement) -> bool:
     """True when no further copy can be added without overlap.
 
     Raises ValueError for an invalid arrangement: maximality is only defined
     on valid ones.
     """
-    reason, occ = _occupancy(arrangement)
+    reason, maximal = _verdict(arrangement)
     if reason is not None:
         raise ValueError(f"arrangement is invalid: {reason}")
-    masks = _tables(arrangement.shape, arrangement.board, arrangement.mode)[1]
-    return all(m & occ for m in masks)
+    return maximal
 
 
 def free_cells(arrangement: Arrangement) -> int:

@@ -17,10 +17,15 @@ _PALETTE = ("#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1",
             "#76b7b2", "#edc948", "#ff9da7", "#9c755f", "#bab0ac")
 
 
+class InvalidArrangementError(ValueError):
+    """The arrangement to draw overlaps, leaves the board or breaks its mode."""
+
+
 def _checked(arrangement: Arrangement) -> None:
     reason = validate(arrangement)
     if reason is not None:
-        raise ValueError(f"cannot render an invalid arrangement: {reason}")
+        raise InvalidArrangementError(
+            f"cannot render an invalid arrangement: {reason}")
 
 
 def render_ascii(arrangement: Arrangement) -> str:

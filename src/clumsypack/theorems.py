@@ -18,7 +18,7 @@ from enum import Enum, unique
 from typing import Callable
 
 from .geometry import Cell, Shape, custom, ell, plus, rect, straight_v, tee
-from .packing import Arrangement, Board, Placement, _tables, is_maximal, is_valid
+from .packing import Arrangement, Board, Placement, _tables, _verdict
 from .solver import DEFAULT_NODE_BUDGET, clumsy_number, first_maximal_arrangement
 
 
@@ -348,9 +348,7 @@ def check_theorem(theorem: TheoremId, params: tuple[int, ...],
     construction_ok: bool | None = None
     if construction is not None:
         target = value[1] if isinstance(value, tuple) else value
-        construction_ok = (is_valid(construction)
-                           and is_maximal(construction)
-                           and construction.size == target)
+        construction_ok = _verdict(construction)[1] and construction.size == target
     solver_value: int | None = None
     if with_solver:
         shape, board, mode = instance_of(theorem, ps)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from clumsypack import cli
+from clumsypack import cli, packing
 from clumsypack.files import dumps, from_arrangement, load_arrangement, save_arrangement
 from clumsypack.geometry import Cell, plus
 from clumsypack.packing import Arrangement, Board, Placement
@@ -207,6 +207,18 @@ class TestRender:
         code, out, err = run_cli(["render", str(path)])
         assert code == 1 and out == ""
         assert err.startswith("error: cannot render an invalid arrangement")
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["render"],
+                                  ["render", "--format", "svg"]])
+def test_file_checked_in_one_occupancy_pass(run_cli, tmp_path, monkeypatch, argv):
+    calls = []
+    occupancy = packing._occupancy
+    monkeypatch.setattr(packing, "_occupancy",
+                        lambda arr: calls.append(arr) or occupancy(arr))
+    code, _, _ = run_cli([argv[0], example_file(tmp_path, "L36"), *argv[1:]])
+    assert code == 0
+    assert len(calls) == 1
 
 
 class TestScan:

@@ -2,11 +2,14 @@ import pathlib
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
-from clumsypack.files import (FileFormatError, dumps, from_arrangement,
-                              load_arrangement, loads, save_arrangement,
-                              to_arrangement)
-from clumsypack.geometry import Cell, custom, ell, plus, rect, straight_v
+from clumsypack import files
+from clumsypack.files import (ArrangementFile, FileFormatError, dumps,
+                              from_arrangement, load_arrangement, loads,
+                              save_arrangement, to_arrangement)
+from clumsypack.geometry import (FAMILIES, Cell, _FAMILY_TABLE, custom, ell,
+                                 make_shape, plus, rect, straight_v)
 from clumsypack.packing import Arrangement, Board, Placement, is_valid
 from clumsypack.render import render_ascii, render_svg
 from clumsypack.solver import clumsy_number, greedy_upper_bound
@@ -183,6 +186,201 @@ class TestLoadErrors:
         doc.update(params=[1, 2, 3])
         with pytest.raises(FileFormatError):
             loads(self.dump(doc))
+
+    def test_custom_cells_repeat(self, tmp_path, run_cli):
+        # custom() would collapse the repeat, and a save would then write
+        # fewer cells than the file gave.
+        doc = self.base()
+        doc.update(family="custom", params=[], placements=[],
+                   custom_cells=[[0, 0], [0, 0], [1, 0]])
+        with pytest.raises(FileFormatError, match=r"^custom_cells entry 2 "
+                           r"repeats cell \(0, 0\)$"):
+            loads(self.dump(doc))
+        path = tmp_path / "repeat.yaml"
+        path.write_text(self.dump(doc))
+        code, out, err = run_cli(["verify", path])
+        assert (code, out) == (2, "")
+        assert "repeats cell (0, 0)" in err
+
+
+@pytest.fixture
+def pure_python_yaml(monkeypatch):
+    """PyYAML's pure-Python loader and dumper, as on a machine without
+    libyaml."""
+    monkeypatch.setattr(files, "_Loader", yaml.SafeLoader)
+    monkeypatch.setattr(files, "_Dumper", yaml.SafeDumper)
+
+
+@pytest.mark.usefixtures("pure_python_yaml")
+class TestRoundTripPurePython(TestRoundTrip):
+    pass
+
+
+@pytest.mark.usefixtures("pure_python_yaml")
+class TestLoadErrorsPurePython(TestLoadErrors):
+    pass
+
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
+coords = st.integers(-3, 60)
+
+
+@st.composite
+def arrangement_docs(draw):
+    """Documents of random arrangements: named and custom shapes, both
+    modes, any number of pieces, on or off the board."""
+    family = draw(st.sampled_from(FAMILIES))
+    if family == "custom":
+        cells = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                              min_size=1, max_size=5, unique=True))
+        shape = custom([Cell(*c) for c in cells])
+    else:
+        params = draw(st.lists(st.integers(1, 3), min_size=_FAMILY_TABLE[family][1],
+                               max_size=_FAMILY_TABLE[family][1]))
+        shape = make_shape(family, sorted(params) if family == "L" else params)
+    mode = draw(st.sampled_from(("fixed", "free")))
+    placements = draw(st.lists(st.builds(Placement, st.integers(0, 3),
+                                         st.builds(Cell, coords, coords)),
+                               max_size=12))
+    return from_arrangement(Arrangement(Board(draw(st.integers(1, 60))), shape,
+                                        mode, placements))
+
+
+@st.composite
+def raw_docs(draw):
+    """Documents with arbitrary values: negative ints, bool rotations,
+    empty lists, parameters that fit no shape."""
+    value = st.integers(-1000, 1000)
+    family = draw(st.sampled_from(FAMILIES))
+    cells = None
+    if family == "custom":
+        cells = tuple(Cell(c, r) for c, r in
+                      draw(st.lists(st.tuples(value, value), max_size=4)))
+    rows = draw(st.lists(st.tuples(st.one_of(value, st.booleans()), value, value),
+                         max_size=6))
+    return ArrangementFile(
+        draw(value), family, tuple(draw(st.lists(value, max_size=4))),
+        draw(st.sampled_from(("fixed", "free"))),
+        tuple({"rotation": r, "anchor_col": c, "anchor_row": w} for r, c, w in rows),
+        cells)
+
+
+def load_outcome(text):
+    try:
+        return loads(text)
+    except FileFormatError as exc:
+        return f"FileFormatError: {exc}"
+
+
+def pyyaml_outcome(text):
+    """What loads gives when every text goes through PyYAML."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(files, "_parse_canonical", lambda text: None)
+        return load_outcome(text)
+
+
+class TestCanonicalReader:
+    @SETTINGS
+    @given(st.one_of(arrangement_docs(), raw_docs()))
+    def test_matches_pyyaml(self, doc):
+        text = dumps(doc)
+        assert load_outcome(text) == pyyaml_outcome(text)
+        rows_are_ints = all(type(v) is int for row in doc.placements
+                            for v in row.values())
+        if doc.family != "custom" and rows_are_ints:
+            # The layout save writes takes the direct route.
+            assert files._parse_canonical(text) == yaml.safe_load(text)
+
+    def base(self):
+        return ("board_n: 10\nfamily: L\nparams:\n- 3\n- 6\nmode: free\n"
+                "placements:\n- rotation: 0\n  anchor_col: 2\n  anchor_row: 1\n"
+                "- rotation: 1\n  anchor_col: 5\n  anchor_row: 4\n")
+
+    def test_base_is_canonical(self):
+        doc = loads(self.base())
+        assert dumps(doc) == self.base()
+        assert files._parse_canonical(self.base()) == yaml.safe_load(self.base())
+
+    # Texts one edit away from the layout save writes, which PyYAML reads
+    # with other meanings or rejects; each edit is (old, new) on base().
+    NEAR_CANONICAL = {
+        "octal 010": ("board_n: 10", "board_n: 010"),
+        "octal 07": ("anchor_col: 5", "anchor_col: 07"),
+        "string 08": ("anchor_col: 5", "anchor_col: 08"),
+        "underscore": ("board_n: 10", "board_n: 1_000"),
+        "plus sign": ("anchor_row: 4", "anchor_row: +5"),
+        "hex": ("board_n: 10", "board_n: 0x1F"),
+        "minus zero": ("anchor_col: 2", "anchor_col: -0"),
+        "sexagesimal": ("board_n: 10", "board_n: 1:30"),
+        "float": ("board_n: 10", "board_n: 10.0"),
+        "null": ("board_n: 10", "board_n: ~"),
+        "full-width digits": ("board_n: 10", "board_n: \uff11\uff10"),
+        "trailing comment": ("mode: free\n", "mode: free  # comment\n"),
+        "comment line": ("board_n: 10\n", "# comment\nboard_n: 10\n"),
+        "document start": ("board_n: 10\n", "---\nboard_n: 10\n"),
+        "CRLF": ("\n", "\r\n"),
+        "no final newline": ("  anchor_row: 4\n", "  anchor_row: 4"),
+        "keys reordered": ("params:\n- 3\n- 6\nmode: free\n",
+                           "mode: free\nparams:\n- 3\n- 6\n"),
+        "key repeated": ("mode: free\n", "mode: free\nmode: fixed\n"),
+        "key repeated last": ("  anchor_row: 4\n", "  anchor_row: 4\nmode: fixed\n"),
+        "flow params": ("params:\n- 3\n- 6\n", "params: [3, 6]\n"),
+        "flow row": ("- rotation: 0\n  anchor_col: 2\n  anchor_row: 1\n",
+                     "- {rotation: 0, anchor_col: 2, anchor_row: 1}\n"),
+        "row keys reordered": ("  anchor_col: 2\n  anchor_row: 1\n",
+                               "  anchor_row: 1\n  anchor_col: 2\n"),
+        "4th row key": ("  anchor_row: 1\n", "  anchor_row: 1\n  color: red\n"),
+        "row key repeated": ("  anchor_row: 1\n", "  anchor_row: 1\n  anchor_row: 2\n"),
+        "tab before int": ("board_n: 10", "board_n:\t10"),
+        "tab before mode": ("mode: free", "mode:\tfree"),
+        "extra space": ("board_n: 10", "board_n:  10"),
+        "trailing space": ("mode: free", "mode: free "),
+        "row indent": ("- rotation: 1", "-  rotation: 1"),
+        "quoted family": ("family: L", "family: 'L'"),
+        "family yes": ("family: L", "family: yes"),
+        "family lower case": ("family: L", "family: l"),
+        "mode capitalised": ("mode: free", "mode: Free"),
+    }
+
+    @pytest.mark.parametrize("case", NEAR_CANONICAL)
+    def test_near_canonical_text_matches_pyyaml(self, case):
+        old, new = self.NEAR_CANONICAL[case]
+        text = self.base().replace(old, new)
+        assert text != self.base()
+        assert files._parse_canonical(text) is None
+        assert load_outcome(text) == pyyaml_outcome(text)
+
+    # Canonical texts whose values pass or fail the checks after parsing.
+    CANONICAL = {
+        "three params": ("- 6\n", "- 6\n- 7\n"),
+        "no params": ("params:\n- 3\n- 6\n", "params: []\n"),
+        "custom without cells": ("family: L", "family: custom"),
+        "board 0": ("board_n: 10", "board_n: 0"),
+        "rotation 4": ("rotation: 1", "rotation: 4"),
+        "negative anchor": ("anchor_col: 5", "anchor_col: -5"),
+        "no placements": ("placements:\n- rotation: 0\n  anchor_col: 2\n  anchor_row: 1\n"
+                          "- rotation: 1\n  anchor_col: 5\n  anchor_row: 4\n",
+                          "placements: []\n"),
+    }
+
+    @pytest.mark.parametrize("case", CANONICAL)
+    def test_canonical_text_meets_the_same_checks(self, case):
+        old, new = self.CANONICAL[case]
+        text = self.base().replace(old, new)
+        assert files._parse_canonical(text) == yaml.safe_load(text)
+        assert load_outcome(text) == pyyaml_outcome(text)
+
+
+class TestWriter:
+    @SETTINGS
+    @given(st.one_of(arrangement_docs(), raw_docs()))
+    def test_matches_pyyaml(self, doc):
+        body = {"board_n": doc.board_n, "family": doc.family,
+                "params": list(doc.params), "mode": doc.mode,
+                "placements": [dict(row) for row in doc.placements]}
+        if doc.family == "custom":
+            body["custom_cells"] = [[c.col, c.row] for c in doc.custom_cells]
+        assert dumps(doc) == yaml.safe_dump(body, sort_keys=False)
 
 
 class TestAsciiRender:

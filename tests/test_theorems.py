@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from clumsypack import packing
 from clumsypack.geometry import Cell, ell, plus, rect, tee
 from clumsypack.packing import Arrangement, Board, Placement, is_maximal, is_valid
 from clumsypack.solver import clumsy_number
@@ -225,6 +226,14 @@ class TestCheckTheorem:
         assert rep.construction is not None and rep.construction_ok
         assert rep.solver_value is None
         assert rep.consistent
+
+    def test_construction_checked_in_one_occupancy_pass(self, monkeypatch):
+        calls = []
+        occupancy = packing._occupancy
+        monkeypatch.setattr(packing, "_occupancy",
+                            lambda arr: calls.append(arr) or occupancy(arr))
+        assert check_theorem(T.RECT_FIXED, (2, 3)).construction_ok
+        assert len(calls) == 1
 
     def test_with_solver_equality(self):
         rep = check_theorem(T.RECT_FIXED, (2, 3), with_solver=True)
