@@ -18,7 +18,8 @@ from .geometry import Cell, Shape, check_family, make_shape
 from .packing import Board, _verdict, default_board
 from .render import InvalidArrangementError, render_ascii, render_svg
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceededError,
-                     OracleGuardError, clumsy_number, oracle_clumsy_number)
+                     OracleGuardError, _check_budget, clumsy_number,
+                     oracle_clumsy_number)
 from .theorems import (TheoremId, check_theorem, formula_value, instance_of,
                        route, ConstructionError, HypothesisError)
 
@@ -158,9 +159,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                node_budget=args.node_budget,
                                time_budget=args.time_budget)
     except BudgetExceededError as exc:
-        upper = "?" if exc.upper is None else exc.upper
         print(f"budget exhausted after {exc.nodes} nodes: "
-              f"cp in [{exc.lower}, {upper}]")
+              f"cp in [{exc.lower}, {exc.upper}]")
         return EXIT_BUDGET
     print(f"cp = {result.clumsy_number}")
     print(f"nodes = {result.nodes_explored}")
@@ -287,6 +287,10 @@ def _scan_rows(scan_id: str, limit: int):
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    # Checked here, not by the first solve, so a scan with no rows checks too.
+    if args.limit < 1:
+        raise ValueError(f"scan limit must be at least 1, got {args.limit}")
+    _check_budget(args.node_budget, args.time_budget)
     counts = {"supports": 0, "refutes": 0, "inconclusive": 0}
     for shape, board, mode, label, claim in _scan_rows(args.id, args.limit):
         try:
@@ -294,9 +298,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
                                    node_budget=args.node_budget,
                                    time_budget=args.time_budget)
         except BudgetExceededError as exc:
-            upper = "?" if exc.upper is None else exc.upper
             claim_text = "no claim" if claim is None else f"claim = {_format_value(claim)}"
-            print(f"{label}: budget exhausted (cp in [{exc.lower}, {upper}]), "
+            print(f"{label}: budget exhausted (cp in [{exc.lower}, {exc.upper}]), "
                   f"{claim_text} -> inconclusive")
             counts["inconclusive"] += 1
             continue

@@ -66,8 +66,13 @@ class Placement:
     anchor_pos: Cell
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rotation", self.rotation % 4)
-        object.__setattr__(self, "anchor_pos", Cell(*self.anchor_pos))
+        # Only values that need it are rewritten: a bool or out-of-range
+        # rotation becomes an int in 0..3, any other anchor a Cell.
+        m = self.rotation
+        if type(m) is not int or not 0 <= m <= 3:
+            object.__setattr__(self, "rotation", m % 4)
+        if type(self.anchor_pos) is not Cell:
+            object.__setattr__(self, "anchor_pos", Cell(*self.anchor_pos))
 
 
 def cells_of(shape: Shape, placement: Placement) -> frozenset[Cell]:
@@ -195,16 +200,15 @@ def enumerate_placements(shape: Shape, board: Board, mode: str) -> tuple[Placeme
     placements covering the same cells (a rotationally symmetric shape) are
     deduplicated keeping the earlier one.
     """
-    return _placements(shape, board, mode)
+    return _placements_at(shape, board, mode, range(len(_tables(shape, board, mode)[1])))
 
 
 @lru_cache(maxsize=256)
 def _tables(shape: Shape, board: Board, mode: str
             ) -> tuple[tuple[tuple[int, int, int, int, int], ...], tuple[int, ...],
-                       tuple[tuple[int, ...], ...], list[tuple[Placement, ...]]]:
-    """Orientation rows, the placements' cell bitmasks, their cell bits
-    lowest first, and a slot for the tuple of every ``Placement``, which
-    ``_placements`` fills on first use.
+                       tuple[tuple[int, ...], ...]]:
+    """Orientation rows, the placements' cell bitmasks and their cell bits
+    lowest first.
 
     Cell (col, row) is bit (row-1)*n + (col-1).  Each rotation the mode
     admits is rotated once (``_orientation``).  A rotation whose cells
@@ -236,17 +240,14 @@ def _tables(shape: Shape, board: Board, mode: str
         shifts = [q * n + r for q in range(n - height + 1) for r in range(ncols)]
         masks += [corner << s for s in shifts]
         cells += [tuple([b + s for b in offsets]) for s in shifts]
-    return tuple(rows), tuple(masks), tuple(cells), []
+    return tuple(rows), tuple(masks), tuple(cells)
 
 
 def _placements_at(shape: Shape, board: Board, mode: str,
                    indices: Iterable[int]) -> tuple[Placement, ...]:
-    """The placements with the given table indices: the objects of the
-    full tuple once it is built, else new ones read off the orientation
-    rows."""
-    rows, _, _, built = _tables(shape, board, mode)
-    if built:
-        return tuple(built[0][i] for i in indices)
+    """The placements with the given table indices, read off the
+    orientation rows."""
+    rows = _tables(shape, board, mode)[0]
     out = []
     for i in indices:
         for m, col, row, ncols, first in reversed(rows):
@@ -257,23 +258,10 @@ def _placements_at(shape: Shape, board: Board, mode: str,
     return tuple(out)
 
 
-def _placements(shape: Shape, board: Board, mode: str) -> tuple[Placement, ...]:
-    """Every placement of the table, built once on first use."""
-    _, masks, _, built = _tables(shape, board, mode)
-    if not built:
-        built.append(_placements_at(shape, board, mode, range(len(masks))))
-    return built[0]
-
-
 def placement_masks(shape: Shape, board: Board, mode: str
                     ) -> tuple[tuple[Placement, ...], tuple[int, ...]]:
-    """Public view of the cached placement/bitmask tables."""
-    return _placements(shape, board, mode), _tables(shape, board, mode)[1]
-
-
-def _placement_cells(shape: Shape, board: Board, mode: str) -> tuple[tuple[int, ...], ...]:
-    """Each placement's cell bits, lowest first, in placement order."""
-    return _tables(shape, board, mode)[2]
+    """``enumerate_placements`` and the placements' cell bitmasks."""
+    return enumerate_placements(shape, board, mode), _tables(shape, board, mode)[1]
 
 
 def _verdict(arrangement: Arrangement) -> tuple[str | None, bool]:

@@ -132,13 +132,6 @@ class _Budget:
         return self.stop
 
 
-    def tick(self) -> None:
-        """Count one node; the witness phase tests one candidate at a time."""
-        self.nodes += 1
-        if self.nodes >= self.stop:
-            self.spend(0)
-
-
 class _BudgetSignal(Exception):
     pass
 
@@ -158,7 +151,7 @@ def _conflict_graph(cells: tuple[tuple[int, ...], ...]
     """The (nbr, notnbr, notfar) masks over placement indices that the
     search reads.
 
-    ``cells[i]`` lists the cell bits of placement i (``_placement_cells``).
+    ``cells[i]`` lists the cell bits of placement i (``_tables(...)[2]``).
 
     nbr[i] holds the placements whose cells meet placement i; every
     placement conflicts with itself, so bit i of nbr[i] is set.  far[i] =
@@ -410,7 +403,7 @@ def _lex_first(graph: tuple[list[int], list[int], list[int]], firsts: int, allow
                 return None
             low = c & -c
             c ^= low
-            budget.tick()
+            budget.spend(1)
             i = low.bit_length() - 1
             u2 = undom & notnbr[i]
             if ahead and ahead[-1] == i:
@@ -444,7 +437,7 @@ def _symmetry_group(shape: Shape, board: Board, mode: str) -> list[list[int]]:
     that is the product of two members found earlier gets its map by
     composing theirs.
     """
-    rows, masks, cells, _ = _tables(shape, board, mode)
+    rows, masks, cells = _tables(shape, board, mode)
     n = board.n
     index_of = {m: i for i, m in enumerate(masks)}
     starts = [first for *_, first in rows]
@@ -540,7 +533,7 @@ def _setup(shape: Shape, board: Board, mode: str
            ) -> tuple[int, tuple[list[int], list[int], list[int]], list[int]]:
     """The placement count of an instance, its search graph and its orbit
     masks."""
-    _, masks, cells, _ = _tables(shape, board, mode)
+    _, masks, cells = _tables(shape, board, mode)
     return len(masks), _conflict_graph(cells), _orbits(_symmetry_group(shape, board, mode))
 
 
@@ -557,35 +550,28 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
         board = default_board(shape)
     start = time.monotonic()
     count, graph, orbits = _setup(shape, board, mode)
-    if not count:
-        # Nothing fits, so the empty arrangement is maximal.
-        empty = Arrangement(board, shape, mode, ())
-        return SolveResult(0, empty, 0, time.monotonic() - start)
-
     greedy = greedy_upper_bound(shape, board, mode)
     upper = greedy.size
     full = (1 << count) - 1
     k = _packing_bound(graph[2], full)
-    if k == upper:
-        # Greedy keeps, in index order, each placement that fits beside the
-        # ones it kept.  An independent set of the same size that agrees
-        # with greedy's first j picks cannot pick below greedy's next one,
-        # so greedy is the lex-least independent set of its size, and
-        # hence the lex-first witness.
-        return SolveResult(k, greedy, 0, time.monotonic() - start)
-
     budget = _Budget(node_budget, time_budget)
     # Every size below k is refuted (the packing bound refutes those below
-    # the start), and one call at k refutes every size up to k.  Greedy
-    # realizes size upper, so when every size below it is refuted it is
-    # the witness, by the argument above.  A success comes with the root's
-    # allowed mask as it stood before the candidate that succeeded: no
-    # independent dominating set of at most k placements leaves it.
+    # the start), and one call at k refutes every size up to k.  A success
+    # comes with the root's allowed mask as it stood before the candidate
+    # that succeeded: no independent dominating set of at most k
+    # placements leaves it.
     try:
         while k < upper and (
                 hit := _complete(graph, full, full, k, False, budget, orbits)) is None:
             k += 1
         if k == upper:
+            # Every size below greedy's is refuted; with nothing on the
+            # board, greedy is empty and k = upper = 0.  Greedy keeps, in
+            # index order, each placement that fits beside the ones it
+            # kept.  An independent set of the same size that agrees with
+            # greedy's first j picks cannot pick below greedy's next one,
+            # so greedy is the lex-least independent set of its size, and
+            # hence the lex-first witness.
             return SolveResult(k, greedy, budget.nodes, time.monotonic() - start)
         found, allowed = hit
         got = _lex_first(graph, _orbit_minima(orbits), allowed, k, budget, found)

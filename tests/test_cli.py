@@ -312,6 +312,22 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: time budget must be a non-negative number")
 
+    # A scan checks its options before its first row, so one that would
+    # solve nothing rejects them too.
+    @pytest.mark.parametrize("argv,err", [
+        (["--limit", "2", "--time-budget", "-1"],
+         "error: time budget must be a non-negative number of seconds, got -1.0\n"),
+        (["--limit", "2", "--node-budget", "-5"],
+         "error: node budget must be non-negative, got -5\n"),
+        (["--limit", "2", "--time-budget", "nan"],
+         "error: time budget must be a non-negative number of seconds, got nan\n"),
+        (["--limit", "0"], "error: scan limit must be at least 1, got 0\n"),
+        (["--limit", "-3", "--node-budget", "-5"],
+         "error: scan limit must be at least 1, got -3\n"),
+    ])
+    def test_scan_checks_options_before_any_row(self, run_cli, argv, err):
+        assert run_cli(["scan", "L-free-exact", *argv]) == (2, "", err)
+
     def test_hypothesis_violation_noted_per_row(self, run_cli):
         # a bad row must not abort the rest of a table sweep
         code, out, _ = run_cli(["table", "--family", "straight-v",

@@ -30,6 +30,14 @@ class TestBoard:
         assert default_board(rect(3, 4)).n == 12
 
 
+class TestPlacement:
+    def test_normalized(self):
+        assert Placement(5, (2, 3)) == Placement(1, Cell(2, 3))
+        assert Placement(-1, Cell(1, 1)).rotation == 3
+        assert type(Placement(True, Cell(1, 1)).rotation) is int
+        assert type(Placement(0, (1, 1)).anchor_pos) is Cell
+
+
 class TestCellsOf:
     def test_unrotated(self):
         got = cells_of(tee(1, 1), Placement(0, Cell(2, 2)))

@@ -9,9 +9,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from clumsypack import solver
 from clumsypack.geometry import Cell, custom, plus, rect, rotate, straight_v, tee
-from clumsypack.packing import (Arrangement, Board, Placement, _placement_cells,
-                                _placements_at, _tables, cells_of, enumerate_placements,
-                                is_maximal, is_valid, placement_masks, validate)
+from clumsypack.packing import (Arrangement, Board, Placement, _placements_at, _tables,
+                                cells_of, enumerate_placements, is_maximal, is_valid,
+                                placement_masks, validate)
 from clumsypack.solver import (ORACLE_SOFT_MAX_K, ORACLE_SOFT_PLACEMENTS,
                                BudgetExceededError, OracleGuardError, _Budget, _complete,
                                _conflict_graph, _packing_bound, _symmetry_group,
@@ -100,15 +100,14 @@ def reference_tables(shape, board, mode):
 def test_tables_match_cells_of_reference(shape, n, mode):
     board = Board(n)
     placements, masks, bits = reference_tables(shape, board, mode)
-    # Placements are read off the orientation rows until the full tuple is
-    # built, and taken from it afterwards.
+    # Every path reads the placements off the orientation rows, on each call.
     _tables.cache_clear()
     assert _placements_at(shape, board, mode, range(len(placements))) == placements
     assert placement_masks(shape, board, mode) == (placements, masks)
     assert (_placements_at(shape, board, mode, reversed(range(len(placements))))
             == placements[::-1])
     assert enumerate_placements(shape, board, mode) == placements
-    assert _placement_cells(shape, board, mode) == bits
+    assert _tables(shape, board, mode)[2] == bits
 
 
 def reference_group(shape, board, mode):
@@ -283,7 +282,7 @@ def test_packing_bound_is_a_lower_bound(instance):
         want = oracle_clumsy_number(*instance)
     except OracleGuardError:
         assume(False)
-    notfar = _conflict_graph(_placement_cells(*instance))[2]
+    notfar = _conflict_graph(_tables(*instance)[2])[2]
     assert _packing_bound(notfar, (1 << len(notfar)) - 1) <= want
 
 
@@ -408,7 +407,7 @@ def test_complete_matches_brute_force(instance, data):
     # placements it leaves undominated, and an allowed subset of those.
     # Removing a random mask leaves most of them allowed, as in the search,
     # where narrowed nodes below the entry are common.
-    cells = _placement_cells(*instance)[:40]
+    cells = _tables(*instance)[2][:40]
     assume(cells)
     nbr, notnbr, _ = graph = _conflict_graph(cells)
     undom = (1 << len(cells)) - 1

@@ -199,12 +199,12 @@ class TestBudget:
         # The witness phase counts its candidates one at a time.
         budget = _Budget(10 ** 9, -1.0)
         with pytest.raises(_BudgetSignal):
-            budget.tick()
+            budget.spend(1)
         budget = _Budget(2, None)
-        budget.tick()
-        budget.tick()
+        budget.spend(1)
+        budget.spend(1)
         with pytest.raises(_BudgetSignal):
-            budget.tick()
+            budget.spend(1)
         assert budget.nodes == 3
 
     def test_negative_node_budget_rejected(self):

@@ -3,8 +3,10 @@ import itertools
 import pytest
 
 from clumsypack import packing
-from clumsypack.geometry import Cell, ell, plus, rect, tee
-from clumsypack.packing import Arrangement, Board, Placement, is_maximal, is_valid
+from clumsypack.geometry import (Cell, ell, free_equivalent, make_shape, plus, rect,
+                                 rotate, tee)
+from clumsypack.packing import (Arrangement, Board, Placement, default_board, is_maximal,
+                                is_valid)
 from clumsypack.solver import clumsy_number
 from clumsypack.theorems import (BOUNDS_THEOREMS, CLAIMS, ConstructionError,
                                  HypothesisError, TheoremId, build_construction,
@@ -285,6 +287,36 @@ class TestRoute:
     ])
     def test_table(self, family, mode, ps, want):
         assert route(family, mode, ps) == want
+
+    @pytest.mark.parametrize("mode", ["fixed", "free"])
+    @pytest.mark.parametrize("family,arity", [
+        ("straight-v", 1), ("straight-h", 1), ("rect", 2), ("L", 2), ("T", 2),
+        ("plus", 1)])
+    def test_claim_is_about_the_routed_instance(self, family, arity, mode):
+        # The claim a routed instance is compared with must be about that
+        # piece, up to rotation and mirroring, on its default board.
+        routed = 0
+        for ps in itertools.product(range(1, 8), repeat=arity):
+            hit = route(family, mode, ps)
+            if hit is None:
+                continue
+            try:
+                claim_shape, board, claim_mode = instance_of(*hit)
+                # L(a, b) with b < a is no shape of the family: the scan
+                # reaches the wide-L conjecture through instance_of alone.
+                shape = make_shape(family, ps)
+            except ValueError:
+                continue
+            routed += 1
+            mirror = [Cell(-c.col, c.row) for c in shape.cells]
+            assert (free_equivalent(claim_shape, shape)
+                    or free_equivalent(claim_shape, mirror)), (ps, hit)
+            assert board == default_board(shape), (ps, hit)
+            # Only a piece every quarter turn fixes has one claim for both
+            # modes (PLUS_ANY is stated for free mode).
+            if rotate(shape, 1).cells != shape.cells:
+                assert claim_mode == mode, (ps, hit)
+        assert routed
 
 
 class TestExamples:
