@@ -9,9 +9,10 @@ from clumsypack.files import (ArrangementFile, FileFormatError, dumps,
                               from_arrangement, load_arrangement, loads,
                               save_arrangement, to_arrangement)
 from clumsypack.geometry import (FAMILIES, Cell, _FAMILY_TABLE, custom, ell,
-                                 make_shape, plus, rect, straight_v)
-from clumsypack.packing import Arrangement, Board, Placement, is_valid
-from clumsypack.render import render_ascii, render_svg
+                                 make_shape, plus, rect, rotate, straight_v)
+from clumsypack.packing import (Arrangement, Board, Placement, cells_of,
+                                is_valid)
+from clumsypack.render import _PALETTE, _piece_outline, render_ascii, render_svg
 from clumsypack.solver import clumsy_number, greedy_upper_bound
 from clumsypack.theorems import build_example
 
@@ -447,3 +448,78 @@ class TestSvgRender:
         arr = Arrangement(Board(2), plus(1), "free", (Placement(0, Cell(1, 1)),))
         with pytest.raises(ValueError):
             render_svg(arr)
+
+
+def _ring_with_tail():
+    """A 3x3 ring with one more cell on its top row: a hole, and no symmetry."""
+    ring = [Cell(c, r) for c in (1, 2, 3) for r in (1, 2, 3) if (c, r) != (2, 2)]
+    return custom(ring + [Cell(4, 1)], anchor=Cell(3, 2))
+
+
+# Golden SVGs: name -> (arrangement, cell size).
+SVG_GOLDENS = {
+    "L36.svg": (lambda: build_example("L36"), 24),
+    "T43.svg": (lambda: build_example("T43"), 24),
+    "L12_four_rotations.svg": (lambda: Arrangement(
+        Board(5), ell(1, 2), "free",
+        (Placement(0, Cell(1, 1)), Placement(1, Cell(5, 1)),
+         Placement(2, Cell(2, 4)), Placement(3, Cell(3, 3)))), 24),
+    "ring_with_tail_cell10.svg": (lambda: Arrangement(
+        Board(8), _ring_with_tail(), "free",
+        (Placement(0, Cell(3, 2)), Placement(1, Cell(6, 3)),
+         Placement(2, Cell(2, 5)), Placement(3, Cell(6, 5)))), 10),
+}
+
+
+@st.composite
+def svg_arrangements(draw):
+    """Valid arrangements of random cell sets (holes and gaps allowed), in
+    both modes: each candidate placement lies on the board, and is kept
+    when it overlaps nothing kept before it."""
+    cells = [Cell(*c) for c in draw(st.lists(
+        st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        min_size=1, max_size=9, unique=True))]
+    shape = custom(cells, anchor=draw(st.sampled_from(cells)))
+    mode = draw(st.sampled_from(("fixed", "free")))
+    n = draw(st.integers(max(shape.width, shape.height), 9))
+    kept, taken = [], set()
+    for _ in range(draw(st.integers(1, 12))):
+        m = draw(st.integers(0, 3)) if mode == "free" else 0
+        rot = rotate(shape, m)
+        p = Placement(m, Cell(
+            draw(st.integers(rot.anchor.col, n - rot.width + rot.anchor.col)),
+            draw(st.integers(rot.anchor.row, n - rot.height + rot.anchor.row))))
+        covered = cells_of(shape, p)
+        if taken.isdisjoint(covered):
+            kept.append(p)
+            taken |= covered
+    return Arrangement(Board(n), shape, mode, kept), draw(st.sampled_from((1, 10, 24)))
+
+
+class TestSvgBytes:
+    @pytest.mark.parametrize("name", sorted(SVG_GOLDENS))
+    def test_matches_golden(self, name):
+        build, cell = SVG_GOLDENS[name]
+        assert render_svg(build(), cell=cell) + "\n" == golden_text(name)
+
+    def test_hole_golden_has_two_loops_per_piece(self):
+        text = golden_text("ring_with_tail_cell10.svg")
+        paths = [line for line in text.splitlines() if line.startswith("<path")]
+        assert len(paths) == 4 and all(p.count("M ") == 2 for p in paths)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(svg_arrangements())
+    def test_paths_match_per_piece_outline(self, case):
+        # The reference outlines every piece from its own board cells.
+        arr, cell = case
+        expected = []
+        for idx, p in enumerate(arr.placements):
+            steps = ["M " + " L ".join(f"{x * cell} {y * cell}" for x, y in loop) + " Z"
+                     for loop in _piece_outline(cells_of(arr.shape, p))]
+            expected.append(
+                f'<path d="{" ".join(steps)}" fill="{_PALETTE[idx % len(_PALETTE)]}" '
+                'fill-opacity="0.85" fill-rule="evenodd" stroke="#222222" '
+                f'stroke-width="2"><title>piece {idx + 1}</title></path>')
+        lines = render_svg(arr, cell=cell).splitlines()
+        assert [line for line in lines if line.startswith("<path")] == expected
+        assert len(lines) == 4 + 2 * (arr.board.n - 1) + len(expected)
