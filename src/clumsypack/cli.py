@@ -9,6 +9,7 @@ exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from typing import Iterable, Sequence
@@ -48,9 +49,12 @@ def _parse_cells(text: str) -> tuple[Cell, ...]:
         if len(parts) != 2:
             raise ValueError(f"cells must look like 'col,row;col,row;...', got {text!r}")
         try:
-            cells.append(Cell(int(parts[0]), int(parts[1])))
+            cell = Cell(int(parts[0]), int(parts[1]))
         except ValueError:
             raise ValueError(f"cell coordinates must be integers, got {chunk!r}") from None
+        if cell in cells:
+            raise ValueError(f"cell list repeats cell ({cell.col}, {cell.row})")
+        cells.append(cell)
     if not cells:
         raise ValueError("empty cell list")
     return tuple(cells)
@@ -103,7 +107,14 @@ def _add_shape_options(sub: argparse.ArgumentParser) -> None:
                      help="fixed = translations only, free = rotations too")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it.
+
+    parse_args returns a new Namespace on every call, and argparse looks up
+    sys.stderr only when it prints, so one parser serves any number of main
+    calls in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="clumsypack",
         description="Smallest unextendable packings of one polyomino on a square board.")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from string import ascii_lowercase, ascii_uppercase
 
+from .geometry import Cell, rotate
 from .packing import Arrangement, cells_of, validate
 
 _LETTERS = ascii_uppercase + ascii_lowercase
@@ -103,11 +104,21 @@ def render_svg(arrangement: Arrangement, cell: int = 24) -> str:
                      'stroke="#dddddd" stroke-width="1"/>')
         parts.append(f'<line x1="0" y1="{i * cell}" x2="{side}" y2="{i * cell}" '
                      'stroke="#dddddd" stroke-width="1"/>')
+    # A shift does not change an outline's loop order (each starts at its
+    # least corner), so each rotation is outlined once and shifted per piece.
+    outlines: dict[int, tuple[Cell, list[list[tuple[int, int]]]]] = {}
     for idx, p in enumerate(arrangement.placements):
         color = _PALETTE[idx % len(_PALETTE)]
+        if p.rotation not in outlines:
+            rot = rotate(arrangement.shape, p.rotation)
+            outlines[p.rotation] = rot.anchor, _piece_outline(rot.cells)
+        anchor, loops = outlines[p.rotation]
+        dx = p.anchor_pos.col - anchor.col
+        dy = p.anchor_pos.row - anchor.row
         steps = []
-        for loop in _piece_outline(cells_of(arrangement.shape, p)):
-            steps.append("M " + " L ".join(f"{x * cell} {y * cell}" for x, y in loop) + " Z")
+        for loop in loops:
+            steps.append("M " + " L ".join(f"{(x + dx) * cell} {(y + dy) * cell}"
+                                           for x, y in loop) + " Z")
         parts.append(f'<path d="{" ".join(steps)}" fill="{color}" fill-opacity="0.85" '
                      f'fill-rule="evenodd" stroke="#222222" stroke-width="2">'
                      f'<title>piece {idx + 1}</title></path>')

@@ -328,6 +328,14 @@ class TestUsageErrors:
     def test_scan_checks_options_before_any_row(self, run_cli, argv, err):
         assert run_cli(["scan", "L-free-exact", *argv]) == (2, "", err)
 
+    # The library would collapse the repeat and solve a smaller piece.
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_repeated_custom_cell(self, run_cli, command):
+        code, out, err = run_cli([command, "--family", "custom",
+                                  "--custom-cells", "1,1;2,1;1,1"])
+        assert (code, out) == (2, "")
+        assert err == "error: cell list repeats cell (1, 1)\n"
+
     def test_hypothesis_violation_noted_per_row(self, run_cli):
         # a bad row must not abort the rest of a table sweep
         code, out, _ = run_cli(["table", "--family", "straight-v",
@@ -337,3 +345,31 @@ class TestUsageErrors:
         assert "hypothesis not met" in lines[0]
         assert lines[1] == "straight-v(1) fixed | StraightFixed | 1"
         assert lines[2] == "straight-v(2) fixed | StraightFixed | 2"
+
+
+class TestParserReuse:
+    SOLVE = ["solve", "--family", "T", "--params", "1,1", "--board", "7"]
+
+    def run_all(self, run_cli):
+        results = []
+        for extra in (["--node-budget", "x"], ["--node-budget", "5"], []):
+            code, out, err = run_cli(self.SOLVE + extra)
+            kept = [line for line in out.splitlines() if not line.startswith("time = ")]
+            results.append((code, kept, err))
+        return results
+
+    def test_one_parser_serves_every_call(self, run_cli):
+        parser = cli._build_parser()
+        misses = cli._build_parser.cache_info().misses
+        first = self.run_all(run_cli)
+        (usage_code, usage_out, usage_err), (budget_code, budget_out, _), \
+            (code, out, _) = first
+        assert (usage_code, usage_out) == (2, [])
+        assert "invalid int value: 'x'" in usage_err
+        assert budget_code == 3 and budget_out[0].endswith("cp in [4, 9]")
+        # The default budget comes back after a call that set its own.
+        assert cli.DEFAULT_NODE_BUDGET > 6215
+        assert (code, out[:2]) == (0, ["cp = 6", "nodes = 6215"])
+        assert self.run_all(run_cli) == first
+        assert cli._build_parser() is parser
+        assert cli._build_parser.cache_info().misses == misses
