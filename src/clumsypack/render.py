@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from string import ascii_lowercase, ascii_uppercase
 
-from .geometry import Cell, rotate
+from .geometry import rotate
 from .packing import Arrangement, cells_of, validate
 
 _LETTERS = ascii_uppercase + ascii_lowercase
@@ -106,7 +106,7 @@ def render_svg(arrangement: Arrangement, cell: int = 24) -> str:
                      'stroke="#dddddd" stroke-width="1"/>')
     # A shift does not change an outline's loop order (each starts at its
     # least corner), so each rotation is outlined once and shifted per piece.
-    outlines: dict[int, tuple[Cell, list[list[tuple[int, int]]]]] = {}
+    outlines = {}  # rotation -> (its anchor cell, its outline loops)
     for idx, p in enumerate(arrangement.placements):
         color = _PALETTE[idx % len(_PALETTE)]
         if p.rotation not in outlines:
