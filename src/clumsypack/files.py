@@ -8,15 +8,19 @@ normalization applied on write is that custom shapes are re-anchored to
 their lexicographically least cell, with placements shifted to compensate,
 so equal cell sets always serialize the same way.
 
-Placement rows skip PyYAML's object layer, which costs far more than the
-parsing itself.  ``dumps`` prints integer rows with f-strings and leaves
-the rest of the document to PyYAML.  ``loads`` reads the layout ``dumps``
-writes for a named family with one regular expression
-(``_parse_canonical``): the five keys in order, block lists or ``[]``, rows
-of exactly rotation, anchor_col and anchor_row, and integers in plain
-decimal.  It gives the values PyYAML would.  Any other text, custom shapes'
-files included, goes through PyYAML, and both routes end in the same
-checks and error messages.
+PyYAML is imported only when a document needs it.  ``dumps`` prints the
+document with f-strings when the board side, the parameters and the
+placement fields are plain ints, the family is a known name and the mode is
+fixed or free, as in every file ``save_arrangement`` writes; PyYAML writes a
+custom shape's ``custom_cells`` and documents with any other values.
+``loads`` reads the layout ``dumps`` writes for a named family with one
+regular expression (``_parse_canonical``): the five keys in order, block
+lists or ``[]``, rows of exactly rotation, anchor_col and anchor_row, and
+integers in plain decimal.  It gives the values PyYAML would.  Any other
+text, custom shapes' files included, goes through PyYAML, and both routes
+end in the same checks and error messages.  So named-family files are
+written and read without loading PyYAML; it is loaded only for custom
+shapes and other text.
 """
 
 from __future__ import annotations
@@ -24,15 +28,26 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import yaml
-
 from .geometry import FAMILIES, Cell, Shape, make_shape, rotate
 from .packing import Arrangement, Board, Placement
 
 
-# libyaml's C loader and dumper when PyYAML was built with it, else pure Python.
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+# The loader and dumper PyYAML runs with; None stands for libyaml's C
+# classes when PyYAML was built with it, else the pure-Python ones, and is
+# resolved on first use.
+_Loader = None
+_Dumper = None
+
+
+def _yaml():
+    """PyYAML, imported on first use, with ``_Loader`` and ``_Dumper`` set."""
+    global _Loader, _Dumper
+    import yaml
+    if _Loader is None:
+        _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    if _Dumper is None:
+        _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+    return yaml
 
 
 # The text dumps writes for a named family, and nothing else: a YAML 1.1
@@ -105,28 +120,31 @@ def to_arrangement(doc: ArrangementFile) -> Arrangement:
 def dumps(doc: ArrangementFile) -> str:
     """The document as YAML, byte for byte what
     ``yaml.safe_dump(body, sort_keys=False)`` writes."""
-    head: dict = {
-        "board_n": doc.board_n,
-        "family": doc.family,
-        "params": list(doc.params),
-        "mode": doc.mode,
-    }
-    tail: dict = {}
-    if doc.family == "custom":
-        tail["custom_cells"] = [[c.col, c.row] for c in doc.custom_cells or ()]
     rows = [(row["rotation"], row["anchor_col"], row["anchor_row"])
             for row in doc.placements]
-    if not rows or any(type(v) is not int for row in rows for v in row):
-        # PyYAML writes [] and spells other values (True as true) its way.
-        head["placements"] = [
-            {"rotation": r, "anchor_col": c, "anchor_row": w} for r, c, w in rows]
-        return yaml.dump(head | tail, Dumper=_Dumper, sort_keys=False)
-    # An int prints as str(int) in YAML too, so the rows need no emitter.
-    text = yaml.dump(head, Dumper=_Dumper, sort_keys=False) + "placements:\n"
-    text += "".join(f"- rotation: {r}\n  anchor_col: {c}\n  anchor_row: {w}\n"
-                    for r, c, w in rows)
-    if tail:
-        text += yaml.dump(tail, Dumper=_Dumper, sort_keys=False)
+    cells = {}
+    if doc.family == "custom":
+        cells["custom_cells"] = [[c.col, c.row] for c in doc.custom_cells or ()]
+    # An int prints as str(int) in YAML too, and the family names and modes
+    # are plain scalars, so such a document needs no emitter.  PyYAML
+    # spells other values its own way (True as true, quoted strings).
+    plain = (type(doc.board_n) is int and doc.family in FAMILIES
+             and doc.mode in ("fixed", "free")
+             and all(type(p) is int for p in doc.params)
+             and all(type(v) is int for row in rows for v in row))
+    if not plain:
+        body = {"board_n": doc.board_n, "family": doc.family,
+                "params": list(doc.params), "mode": doc.mode,
+                "placements": [{"rotation": r, "anchor_col": c, "anchor_row": w}
+                               for r, c, w in rows]} | cells
+        return _yaml().dump(body, Dumper=_Dumper, sort_keys=False)
+    params = "".join(f"\n- {p}" for p in doc.params) or " []"
+    placements = "".join(f"\n- rotation: {r}\n  anchor_col: {c}\n  anchor_row: {w}"
+                         for r, c, w in rows) or " []"
+    text = (f"board_n: {doc.board_n}\nfamily: {doc.family}\nparams:{params}\n"
+            f"mode: {doc.mode}\nplacements:{placements}\n")
+    if cells:
+        text += _yaml().dump(cells, Dumper=_Dumper, sort_keys=False)
     return text
 
 
@@ -156,9 +174,15 @@ def _need_int(value, where: str) -> int:
     return value
 
 
+def _rotation_error(i: int, rotation: int) -> FileFormatError:
+    return FileFormatError(f"placement {i} rotation must be in 0..3, got {rotation}")
+
+
 def loads(text: str) -> ArrangementFile:
     body = _parse_canonical(text)
-    if body is None:
+    canonical = body is not None
+    if not canonical:
+        yaml = _yaml()
         try:
             body = yaml.load(text, Loader=_Loader)
         except yaml.YAMLError as exc:
@@ -194,22 +218,29 @@ def loads(text: str) -> ArrangementFile:
     raw_placements = body["placements"]
     if not isinstance(raw_placements, list):
         raise FileFormatError("placements must be a list")
-    placements = []
-    for i, row in enumerate(raw_placements, start=1):
-        if not isinstance(row, dict) or set(row) != {"rotation", "anchor_col",
-                                                     "anchor_row"}:
-            raise FileFormatError(
-                f"placement {i} must have exactly the keys rotation, "
-                "anchor_col, anchor_row")
-        rotation = _need_int(row["rotation"], f"placement {i} rotation")
-        if not 0 <= rotation <= 3:
-            raise FileFormatError(
-                f"placement {i} rotation must be in 0..3, got {rotation}")
-        placements.append({
-            "rotation": rotation,
-            "anchor_col": _need_int(row["anchor_col"], f"placement {i} anchor_col"),
-            "anchor_row": _need_int(row["anchor_row"], f"placement {i} anchor_row"),
-        })
+    if canonical:
+        # The regular expression made each row a dict of the three keys
+        # with int values, so only the rotation's range is left to check.
+        placements = raw_placements
+        for i, row in enumerate(placements, start=1):
+            if not 0 <= row["rotation"] <= 3:
+                raise _rotation_error(i, row["rotation"])
+    else:
+        placements = []
+        for i, row in enumerate(raw_placements, start=1):
+            if not isinstance(row, dict) or set(row) != {"rotation", "anchor_col",
+                                                         "anchor_row"}:
+                raise FileFormatError(
+                    f"placement {i} must have exactly the keys rotation, "
+                    "anchor_col, anchor_row")
+            rotation = _need_int(row["rotation"], f"placement {i} rotation")
+            if not 0 <= rotation <= 3:
+                raise _rotation_error(i, rotation)
+            placements.append({
+                "rotation": rotation,
+                "anchor_col": _need_int(row["anchor_col"], f"placement {i} anchor_col"),
+                "anchor_row": _need_int(row["anchor_row"], f"placement {i} anchor_row"),
+            })
 
     custom_cells: tuple[Cell, ...] | None = None
     if family == "custom":

@@ -1,8 +1,11 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clumsypack import files
 from clumsypack.files import (ArrangementFile, FileFormatError, dumps,
@@ -372,16 +375,78 @@ class TestCanonicalReader:
         assert load_outcome(text) == pyyaml_outcome(text)
 
 
+def _row(r, c, w):
+    return {"rotation": r, "anchor_col": c, "anchor_row": w}
+
+
+# libyaml's dumper when PyYAML has it, and the pure-Python one.
+DUMPERS = [getattr(yaml, "CSafeDumper", yaml.SafeDumper), yaml.SafeDumper]
+
+
 class TestWriter:
     @SETTINGS
     @given(st.one_of(arrangement_docs(), raw_docs()))
+    @example(ArrangementFile(4, "L", (1, 2), "free", (_row(True, 1, 1), _row(0, 2, 2))))
+    @example(ArrangementFile(-7, "T", (-1, 10**30), "fixed",
+                             (_row(-2, -40, 10**20), _row(0, 0, -1))))
+    @example(ArrangementFile(3, "plus", (), "free", ()))
+    @example(ArrangementFile(True, "rect", (1, 2), "free", ()))
+    @example(ArrangementFile(4, "rect", (True, 2), "free", ()))
+    @example(ArrangementFile(5, "L", (1, 1), "on", (_row(0, 1, 1),)))
+    @example(ArrangementFile(5, "custom", (), "free", (_row(0, 1, 1),),
+                             (Cell(1, 1), Cell(2, 1))))
+    @example(ArrangementFile(5, "custom", (3,), "free", (), ()))
     def test_matches_pyyaml(self, doc):
         body = {"board_n": doc.board_n, "family": doc.family,
                 "params": list(doc.params), "mode": doc.mode,
                 "placements": [dict(row) for row in doc.placements]}
         if doc.family == "custom":
             body["custom_cells"] = [[c.col, c.row] for c in doc.custom_cells]
-        assert dumps(doc) == yaml.safe_dump(body, sort_keys=False)
+        want = yaml.safe_dump(body, sort_keys=False)
+        for dumper in DUMPERS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(files, "_Dumper", dumper)
+                assert dumps(doc) == want
+
+
+# Run in a fresh interpreter: clumsypack's named-family routes, then loads
+# on a custom shape's file and on README's hand-written flow-style file.
+FRESH_INTERPRETER = """
+import contextlib, io, pathlib, sys
+import clumsypack, clumsypack.cli
+from clumsypack import files
+from clumsypack.geometry import Cell
+for argv in (["solve", "--family", "L", "--params", "3,6", "--out", "l36.yaml"],
+             ["verify", "l36.yaml"],
+             ["render", "l36.yaml", "--format", "svg", "--out", "l36.svg"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert clumsypack.cli.main(argv) == 0, argv
+assert "yaml" not in sys.modules, "a named-family route loaded PyYAML"
+docs = [files.loads(pathlib.Path(name).read_text()) for name in ("c.yaml", "r.yaml")]
+assert "yaml" in sys.modules
+row = {"rotation": 0, "anchor_col": 1, "anchor_row": 1}
+assert docs == [
+    files.ArrangementFile(4, "custom", (), "free", (row,),
+                          (Cell(1, 1), Cell(2, 1), Cell(1, 2))),
+    files.ArrangementFile(10, "L", (3, 6), "free", (row | {"anchor_col": 2},)),
+], docs
+"""
+
+
+def test_named_family_routes_leave_pyyaml_unloaded(tmp_path):
+    (tmp_path / "c.yaml").write_text(
+        "board_n: 4\nfamily: custom\nparams: []\nmode: free\nplacements:\n"
+        "- rotation: 0\n  anchor_col: 1\n  anchor_row: 1\n"
+        "custom_cells:\n- - 1\n  - 1\n- - 2\n  - 1\n- - 1\n  - 2\n")
+    (tmp_path / "r.yaml").write_text(
+        "board_n: 10\nfamily: L\nparams: [3, 6]\nmode: free\nplacements:\n"
+        "- rotation: 0\n  anchor_col: 2\n  anchor_row: 1\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", FRESH_INTERPRETER], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestAsciiRender:
