@@ -1,13 +1,11 @@
 """Clumsy packings: smallest unextendable arrangements of one polyomino
 on a finite square board."""
 
-from .geometry import (Cell, Shape, Transform, canonical_form, custom, ell,
-                       fixed_equivalent, free_equivalent, gen_plus, gen_tee,
-                       make_shape, normalize, plus, rect, rotate, straight_h,
-                       straight_v, tee)
+from .geometry import (Cell, Shape, canonical_form, custom, ell, free_equivalent,
+                       gen_plus, gen_tee, make_shape, normalize, plus, rect,
+                       rotate, straight_h, straight_v, tee)
 from .packing import (Arrangement, Board, Placement, cells_of, default_board,
-                      enumerate_placements, free_cells, is_maximal, is_valid,
-                      validate)
+                      enumerate_placements, is_maximal, is_valid, validate)
 from .solver import (BudgetExceededError, OracleGuardError, SolveResult,
                      clumsy_number, first_maximal_arrangement,
                      greedy_upper_bound, oracle_clumsy_number)
@@ -24,11 +22,10 @@ __all__ = [
     "Arrangement", "ArrangementFile", "Board", "BudgetExceededError", "Cell",
     "ConstructionError", "FileFormatError", "HypothesisError",
     "OracleGuardError", "Placement", "Shape", "SolveResult", "TheoremId",
-    "TheoremReport", "Transform", "build_construction", "build_example",
-    "canonical_form", "cells_of", "check_theorem", "clumsy_number", "custom",
-    "default_board", "ell", "enumerate_placements", "first_maximal_arrangement",
-    "fixed_equivalent", "formula_value", "free_cells", "free_equivalent",
-    "from_arrangement", "gen_plus", "gen_tee", "greedy_upper_bound",
+    "TheoremReport", "build_construction", "build_example", "canonical_form",
+    "cells_of", "check_theorem", "clumsy_number", "custom", "default_board",
+    "ell", "enumerate_placements", "first_maximal_arrangement",
+    "formula_value", "free_equivalent", "from_arrangement", "gen_plus", "gen_tee", "greedy_upper_bound",
     "instance_of", "is_maximal", "is_valid", "load_arrangement", "make_shape",
     "normalize", "oracle_clumsy_number", "plus", "rect", "render_ascii",
     "render_svg", "rotate", "route", "save_arrangement", "straight_h",

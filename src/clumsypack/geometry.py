@@ -34,27 +34,6 @@ def _rotate_cell(cell: Cell, m: int) -> Cell:
     return Cell(j, -i)
 
 
-@dataclass(frozen=True)
-class Transform:
-    """A clockwise quarter-turn count followed by an integer shift."""
-
-    rotation: int = 0
-    shift: tuple[int, int] = (0, 0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rotation", self.rotation % 4)
-
-    def apply(self, cell: Cell) -> Cell:
-        i, j = _rotate_cell(Cell(*cell), self.rotation)
-        return Cell(i + self.shift[0], j + self.shift[1])
-
-    def then(self, other: "Transform") -> "Transform":
-        """The transform equivalent to applying self first, then other."""
-        c, d = _rotate_cell(Cell(*self.shift), other.rotation)
-        return Transform(self.rotation + other.rotation,
-                         (c + other.shift[0], d + other.shift[1]))
-
-
 def _norm_shift(cells: Iterable[Cell]) -> tuple[int, int]:
     cs = list(cells)
     if not cs:
@@ -269,11 +248,6 @@ def _cellset(obj: CellsLike) -> frozenset[Cell]:
     if isinstance(obj, Shape):
         return obj.cells
     return frozenset(Cell(*c) for c in obj)
-
-
-def fixed_equivalent(p: CellsLike, q: CellsLike) -> bool:
-    """True when q's cells are a translate of p's (no rotation allowed)."""
-    return normalize(_cellset(p)) == normalize(_cellset(q))
 
 
 def canonical_form(obj: CellsLike) -> tuple[Cell, ...]:

@@ -106,10 +106,6 @@ class Arrangement:
             occ |= cells_of(self.shape, p)
         return occ
 
-    def with_placement(self, placement: Placement) -> "Arrangement":
-        return Arrangement(self.board, self.shape, self.mode,
-                           self.placements + (placement,))
-
 
 @lru_cache(maxsize=1024)
 def _orientation(shape: Shape, m: int, n: int) -> tuple[int, int, int, int, int]:
@@ -284,7 +280,3 @@ def is_maximal(arrangement: Arrangement) -> bool:
     if reason is not None:
         raise ValueError(f"arrangement is invalid: {reason}")
     return maximal
-
-
-def free_cells(arrangement: Arrangement) -> int:
-    return arrangement.board.n ** 2 - len(arrangement.occupied_cells())

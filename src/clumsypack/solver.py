@@ -21,7 +21,9 @@ left with none kills the node; otherwise the picks narrow to the union of
 these sets and the branch is on the member with the fewest.  (At the entry,
 the picks narrow to the members' neighbourhoods and the branch is on the
 member with the fewest allowed dominators.)  Otherwise the branch is on the
-undominated placement with the fewest, scanned lowest first.  A refuted
+undominated placement with the fewest, scanned lowest first; the scan lists
+the undominated placements from the mask's binary string in C
+(``_indices``), not with big-int operations bit by bit.  A refuted
 candidate is forbidden to its later siblings, and the loop runs on an
 explicit stack, so no depth meets Python's recursion limit.
 
@@ -68,6 +70,9 @@ DEFAULT_NODE_BUDGET = 10 ** 8
 # The branch rule stops scanning at the first undominated placement with at
 # most this many allowed dominators.
 MRV_EARLY_EXIT = 4
+
+# Maps the characters "0" and "1" to the bytes 0 and 1, for ``_indices``.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class BudgetExceededError(RuntimeError):
@@ -208,11 +213,15 @@ def _packing_bound(notfar: list[int], undom: int) -> int:
 
 
 def _indices(mask: int) -> Iterator[int]:
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The indices of the set bits of ``mask``, lowest first, produced lazily.
+
+    The reversed binary string of ``mask`` becomes one 0/1 byte per bit, and
+    ``compress`` keeps the counts at the 1s, so the loop over bits runs in C
+    rather than as big-int operations per bit.  ``mask`` must be
+    non-negative: ``bin`` of a negative int starts with ``-``.
+    """
+    return itertools.compress(itertools.count(),
+                              bin(mask)[:1:-1].encode().translate(_BITS))
 
 
 def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed: int,

@@ -1,7 +1,6 @@
 import pytest
 
-from clumsypack.geometry import (Cell, Shape, Transform, canonical_form,
-                                 custom, ell, fixed_equivalent,
+from clumsypack.geometry import (Cell, Shape, canonical_form, custom, ell,
                                  free_equivalent, gen_plus, gen_tee,
                                  make_shape, normalize, plus, rect, rotate,
                                  straight_h, straight_v, tee)
@@ -202,38 +201,16 @@ class TestRotation:
         assert r.cells == frozenset(expected)
 
 
-class TestTransform:
-    @pytest.mark.parametrize("r1,s1,r2,s2", [
-        (0, (0, 0), 1, (2, 3)),
-        (1, (1, -1), 2, (0, 5)),
-        (3, (-2, 4), 3, (1, 1)),
-        (2, (7, 0), 1, (-3, -3)),
-    ])
-    def test_composition(self, r1, s1, r2, s2):
-        t1 = Transform(r1, s1)
-        t2 = Transform(r2, s2)
-        combined = t1.then(t2)
-        for cell in (Cell(0, 0), Cell(1, 2), Cell(-3, 5)):
-            assert combined.apply(cell) == t2.apply(t1.apply(cell))
-
-    def test_rotation_wraps(self):
-        assert Transform(5).rotation == 1
-        assert Transform(-1).rotation == 3
-
-    def test_identity(self):
-        t = Transform()
-        assert t.apply(Cell(4, 9)) == Cell(4, 9)
-
-
 class TestEquivalence:
     def test_normalize(self):
         cells = normalize([Cell(3, 5), Cell(4, 5)])
         assert cells == frozenset({Cell(1, 1), Cell(2, 1)})
 
     def test_fixed_equivalence_is_translation_only(self):
-        assert fixed_equivalent(ell(1, 2), [Cell(10, 10), Cell(11, 10),
-                                            Cell(10, 11), Cell(10, 12)])
-        assert not fixed_equivalent(ell(1, 2), rotate(ell(1, 2), 1))
+        # Translates share a normal form; a rotation does not.
+        assert normalize(ell(1, 2).cells) == normalize([Cell(10, 10), Cell(11, 10),
+                                                        Cell(10, 11), Cell(10, 12)])
+        assert normalize(ell(1, 2).cells) != rotate(ell(1, 2), 1).cells
 
     def test_free_equivalence_includes_rotations(self):
         for m in range(4):
@@ -252,4 +229,4 @@ class TestEquivalence:
 
     def test_straights_are_free_equivalent(self):
         assert free_equivalent(straight_v(4), straight_h(4))
-        assert not fixed_equivalent(straight_v(4), straight_h(4))
+        assert straight_v(4).cells != straight_h(4).cells

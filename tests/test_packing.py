@@ -3,8 +3,7 @@ import pytest
 from clumsypack.geometry import Cell, ell, plus, rect, straight_v, tee
 from clumsypack.packing import (Arrangement, Board, Placement, cells_of,
                                 default_board, enumerate_placements,
-                                free_cells, is_maximal, is_valid,
-                                placement_masks, validate)
+                                is_maximal, is_valid, placement_masks, validate)
 
 
 def l36():
@@ -177,9 +176,4 @@ class TestOccupancy:
     def test_occupied_and_free_cells(self):
         arr = l36()
         assert len(arr.occupied_cells()) == 30
-        assert free_cells(arr) == 70
-
-    def test_with_placement(self):
-        arr = Arrangement(Board(5), ell(1, 1), "free", ())
-        arr2 = arr.with_placement(Placement(0, Cell(1, 1)))
-        assert arr.size == 0 and arr2.size == 1
+        assert arr.board.n ** 2 - len(arr.occupied_cells()) == 70

@@ -14,7 +14,7 @@ from clumsypack.packing import (Arrangement, Board, Placement, _placements_at, _
                                 placement_masks, validate)
 from clumsypack.solver import (ORACLE_SOFT_MAX_K, ORACLE_SOFT_PLACEMENTS,
                                BudgetExceededError, OracleGuardError, _Budget, _complete,
-                               _conflict_graph, _packing_bound, _symmetry_group,
+                               _conflict_graph, _indices, _packing_bound, _symmetry_group,
                                clumsy_number, first_maximal_arrangement,
                                greedy_upper_bound, oracle_clumsy_number)
 
@@ -284,6 +284,17 @@ def test_packing_bound_is_a_lower_bound(instance):
         assume(False)
     notfar = _conflict_graph(_tables(*instance)[2])[2]
     assert _packing_bound(notfar, (1 << len(notfar)) - 1) <= want
+
+
+@SETTINGS
+@given(st.integers(0, 1 << 1200))
+# rect(1, 1) fixed on 33 has 1,089 placements, so its masks reach bit 1,088.
+@example(0)
+@example(1)
+@example(1 << 1088)
+@example((1 << 1089) - 1)
+def test_indices_are_the_set_bits_lowest_first(mask):
+    assert list(_indices(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @SETTINGS

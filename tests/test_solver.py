@@ -119,6 +119,8 @@ BUDGET_STOPS = [
     (ell(1, 3), 8, "free", 10_000, 5, 8, 10_001),
     (tee(1, 1), 7, "free", 5_000, 6, 9, 5_001),
     (straight_v(3), 9, "free", 8, 9, 27, 9),
+    # Deep refuter calls, as in the benchmark's 1M-node pass on this instance.
+    (straight_v(3), 9, "free", 300_000, 14, 27, 300_001),
 ]
 
 
