@@ -25,9 +25,10 @@ __all__ = [
     "TheoremReport", "build_construction", "build_example", "canonical_form",
     "cells_of", "check_theorem", "clumsy_number", "custom", "default_board",
     "ell", "enumerate_placements", "first_maximal_arrangement",
-    "formula_value", "free_equivalent", "from_arrangement", "gen_plus", "gen_tee", "greedy_upper_bound",
-    "instance_of", "is_maximal", "is_valid", "load_arrangement", "make_shape",
-    "normalize", "oracle_clumsy_number", "plus", "rect", "render_ascii",
-    "render_svg", "rotate", "route", "save_arrangement", "straight_h",
-    "straight_v", "tee", "to_arrangement", "validate",
+    "formula_value", "free_equivalent", "from_arrangement", "gen_plus",
+    "gen_tee", "greedy_upper_bound", "instance_of", "is_maximal", "is_valid",
+    "load_arrangement", "make_shape", "normalize", "oracle_clumsy_number",
+    "plus", "rect", "render_ascii", "render_svg", "rotate", "route",
+    "save_arrangement", "straight_h", "straight_v", "tee", "to_arrangement",
+    "validate",
 ]

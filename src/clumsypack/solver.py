@@ -23,7 +23,7 @@ the picks narrow to the members' neighbourhoods and the branch is on the
 member with the fewest allowed dominators.)  Otherwise the branch is on the
 undominated placement with the fewest, scanned lowest first; the scan lists
 the undominated placements from the mask's binary string in C
-(``_indices``), not with big-int operations bit by bit.  A refuted
+(``_indices``).  A refuted
 candidate is forbidden to its later siblings, and the loop runs on an
 explicit stack, so no depth meets Python's recursion limit.
 
