@@ -1,9 +1,8 @@
 """Clumsy packings: smallest unextendable arrangements of one polyomino
 on a finite square board."""
 
-from .geometry import (Cell, Shape, canonical_form, custom, ell, free_equivalent,
-                       gen_plus, gen_tee, make_shape, normalize, plus, rect,
-                       rotate, straight_h, straight_v, tee)
+from .geometry import (Cell, Shape, custom, ell, gen_plus, gen_tee, make_shape,
+                       plus, rect, rotate, straight_h, straight_v, tee)
 from .packing import (Arrangement, Board, Placement, cells_of, default_board,
                       enumerate_placements, is_maximal, is_valid, validate)
 from .solver import (BudgetExceededError, OracleGuardError, SolveResult,
@@ -22,13 +21,12 @@ __all__ = [
     "Arrangement", "ArrangementFile", "Board", "BudgetExceededError", "Cell",
     "ConstructionError", "FileFormatError", "HypothesisError",
     "OracleGuardError", "Placement", "Shape", "SolveResult", "TheoremId",
-    "TheoremReport", "build_construction", "build_example", "canonical_form",
-    "cells_of", "check_theorem", "clumsy_number", "custom", "default_board",
-    "ell", "enumerate_placements", "first_maximal_arrangement",
-    "formula_value", "free_equivalent", "from_arrangement", "gen_plus",
-    "gen_tee", "greedy_upper_bound", "instance_of", "is_maximal", "is_valid",
-    "load_arrangement", "make_shape", "normalize", "oracle_clumsy_number",
-    "plus", "rect", "render_ascii", "render_svg", "rotate", "route",
-    "save_arrangement", "straight_h", "straight_v", "tee", "to_arrangement",
-    "validate",
+    "TheoremReport", "build_construction", "build_example", "cells_of",
+    "check_theorem", "clumsy_number", "custom", "default_board", "ell",
+    "enumerate_placements", "first_maximal_arrangement", "formula_value",
+    "from_arrangement", "gen_plus", "gen_tee", "greedy_upper_bound",
+    "instance_of", "is_maximal", "is_valid", "load_arrangement", "make_shape",
+    "oracle_clumsy_number", "plus", "rect", "render_ascii", "render_svg",
+    "rotate", "route", "save_arrangement", "straight_h", "straight_v", "tee",
+    "to_arrangement", "validate",
 ]

@@ -15,8 +15,8 @@ import sys
 from typing import Iterable, Sequence
 
 from .files import FileFormatError, load_arrangement, save_arrangement
-from .geometry import Cell, Shape, check_family, make_shape
-from .packing import Board, _verdict, default_board
+from .geometry import FAMILIES, Cell, Shape, check_family, make_shape
+from .packing import MODES, Board, _verdict, default_board
 from .render import InvalidArrangementError, render_ascii, render_svg
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceededError,
                      OracleGuardError, _check_budget, clumsy_number,
@@ -76,7 +76,7 @@ def _parse_range(text: str) -> range:
 def _shape_from_args(args: argparse.Namespace) -> Shape:
     cells = _parse_cells(args.custom_cells) if args.custom_cells else None
     anchor = None
-    if getattr(args, "anchor", None):
+    if args.anchor:
         pair = _parse_cells(args.anchor)
         if len(pair) != 1:
             raise ValueError("anchor must be a single 'col,row' pair")
@@ -93,8 +93,7 @@ def _board_from_args(args: argparse.Namespace, shape: Shape) -> Board:
 
 def _add_shape_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", required=True,
-                     help="shape family: rect, straight-v, straight-h, L, T, "
-                          "plus, gen-T, gen-plus, custom")
+                     help=f"shape family: {', '.join(FAMILIES)}")
     sub.add_argument("--params", default="",
                      help="comma-separated family parameters, e.g. '3,6'")
     sub.add_argument("--custom-cells", default=None,
@@ -103,7 +102,7 @@ def _add_shape_options(sub: argparse.ArgumentParser) -> None:
                      help="anchor cell for family custom, e.g. '1,1'")
     sub.add_argument("--board", type=int, default=None,
                      help="board side length (default: one cell per shape cell)")
-    sub.add_argument("--mode", choices=("fixed", "free"), default="free",
+    sub.add_argument("--mode", choices=MODES, default="free",
                      help="fixed = translations only, free = rotations too")
 
 
@@ -134,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     table = subs.add_parser("table", help="tabulate closed-form values over parameter ranges")
     table.add_argument("--family", required=True)
-    table.add_argument("--mode", choices=("fixed", "free"), required=True)
+    table.add_argument("--mode", choices=MODES, required=True)
     table.add_argument("--params", required=True,
                        help="comma-separated ranges, e.g. '2..4,2..4' or '1..5'")
     table.add_argument("--check", action="store_true",

@@ -8,19 +8,16 @@ normalization applied on write is that custom shapes are re-anchored to
 their lexicographically least cell, with placements shifted to compensate,
 so equal cell sets always serialize the same way.
 
-PyYAML is imported only when a document needs it.  ``dumps`` prints the
-document with f-strings when the board side, the parameters and the
-placement fields are plain ints, the family is a known name and the mode is
-fixed or free, as in every file ``save_arrangement`` writes; PyYAML writes a
-custom shape's ``custom_cells`` and documents with any other values.
-``loads`` reads the layout ``dumps`` writes for a named family with one
-regular expression (``_parse_canonical``): the five keys in order, block
-lists or ``[]``, rows of exactly rotation, anchor_col and anchor_row, and
-integers in plain decimal.  It gives the values PyYAML would.  Any other
-text, custom shapes' files included, goes through PyYAML, and both routes
-end in the same checks and error messages.  So named-family files are
-written and read without loading PyYAML; it is loaded only for custom
-shapes and other text.
+Every file is written without PyYAML: ``dumps`` prints the document with
+f-strings, byte for byte what PyYAML's safe representer writes for the same
+body in key order, and refuses a document whose values ``loads`` could not
+read back (a value that is not an int, an unknown family or mode).  PyYAML
+only reads.  ``loads`` reads the layout ``dumps`` writes for a named family
+with one regular expression (``_parse_canonical``): the five keys in order,
+block lists or ``[]``, rows of exactly rotation, anchor_col and anchor_row,
+and integers in plain decimal.  It gives the values PyYAML would.  Any other
+text, custom shapes' files included, goes through PyYAML, imported on first
+use, and both routes end in the same checks and error messages.
 """
 
 from __future__ import annotations
@@ -29,24 +26,21 @@ import re
 from dataclasses import dataclass, field
 
 from .geometry import FAMILIES, Cell, Shape, make_shape, rotate
-from .packing import Arrangement, Board, Placement
+from .packing import MODES, Arrangement, Board, Placement
 
 
-# The loader and dumper PyYAML runs with; None stands for libyaml's C
-# classes when PyYAML was built with it, else the pure-Python ones, and is
-# resolved on first use.
+# The loader PyYAML runs with; None stands for libyaml's C loader when
+# PyYAML was built with it, else the pure-Python one, and is resolved on
+# first use.
 _Loader = None
-_Dumper = None
 
 
 def _yaml():
-    """PyYAML, imported on first use, with ``_Loader`` and ``_Dumper`` set."""
-    global _Loader, _Dumper
+    """PyYAML, imported on first use, with ``_Loader`` set."""
+    global _Loader
     import yaml
     if _Loader is None:
         _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    if _Dumper is None:
-        _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
     return yaml
 
 
@@ -59,7 +53,7 @@ _CANONICAL = re.compile(
     rf"board_n: ({_INT})\n"
     rf"family: ({'|'.join(map(re.escape, FAMILIES))})\n"
     rf"params:(?: \[\]\n|\n((?:- {_INT}\n)+))"
-    r"mode: (fixed|free)\n"
+    rf"mode: ({'|'.join(MODES)})\n"
     r"placements:(?: \[\]\n|\n("
     rf"(?:- rotation: {_INT}\n  anchor_col: {_INT}\n  anchor_row: {_INT}\n)+))")
 
@@ -118,33 +112,34 @@ def to_arrangement(doc: ArrangementFile) -> Arrangement:
 
 
 def dumps(doc: ArrangementFile) -> str:
-    """The document as YAML, byte for byte what
-    ``yaml.safe_dump(body, sort_keys=False)`` writes."""
+    """The document as YAML, byte for byte what PyYAML's safe representer
+    writes for the same body in key order.
+
+    Raises FileFormatError for a document ``loads`` would refuse for its
+    types: a value that is not exactly an int, or an unknown family or mode.
+    """
     rows = [(row["rotation"], row["anchor_col"], row["anchor_row"])
             for row in doc.placements]
-    cells = {}
-    if doc.family == "custom":
-        cells["custom_cells"] = [[c.col, c.row] for c in doc.custom_cells or ()]
+    cells = (doc.custom_cells or ()) if doc.family == "custom" else ()
     # An int prints as str(int) in YAML too, and the family names and modes
-    # are plain scalars, so such a document needs no emitter.  PyYAML
-    # spells other values its own way (True as true, quoted strings).
-    plain = (type(doc.board_n) is int and doc.family in FAMILIES
-             and doc.mode in ("fixed", "free")
-             and all(type(p) is int for p in doc.params)
-             and all(type(v) is int for row in rows for v in row))
-    if not plain:
-        body = {"board_n": doc.board_n, "family": doc.family,
-                "params": list(doc.params), "mode": doc.mode,
-                "placements": [{"rotation": r, "anchor_col": c, "anchor_row": w}
-                               for r, c, w in rows]} | cells
-        return _yaml().dump(body, Dumper=_Dumper, sort_keys=False)
+    # are plain scalars.  PyYAML would spell any other value its own way
+    # (True as true, quoted strings), and loads refuses every such value.
+    if not (type(doc.board_n) is int and doc.family in FAMILIES
+            and doc.mode in MODES
+            and all(type(p) is int for p in doc.params)
+            and all(type(v) is int for row in rows for v in row)
+            and all(type(v) is int for cell in cells for v in cell)):
+        raise FileFormatError(
+            "cannot write the document: its values must be integers, its family "
+            f"one of {', '.join(FAMILIES)} and its mode one of {', '.join(MODES)}")
     params = "".join(f"\n- {p}" for p in doc.params) or " []"
     placements = "".join(f"\n- rotation: {r}\n  anchor_col: {c}\n  anchor_row: {w}"
                          for r, c, w in rows) or " []"
     text = (f"board_n: {doc.board_n}\nfamily: {doc.family}\nparams:{params}\n"
             f"mode: {doc.mode}\nplacements:{placements}\n")
-    if cells:
-        text += _yaml().dump(cells, Dumper=_Dumper, sort_keys=False)
+    if doc.family == "custom":
+        cell_rows = "".join(f"\n- - {col}\n  - {row}" for col, row in cells) or " []"
+        text += f"custom_cells:{cell_rows}\n"
     return text
 
 
@@ -212,8 +207,9 @@ def loads(text: str) -> ArrangementFile:
     params = tuple(_need_int(p, "params entry") for p in raw_params)
 
     mode = body["mode"]
-    if mode not in ("fixed", "free"):
-        raise FileFormatError(f"mode must be 'fixed' or 'free', got {mode!r}")
+    if mode not in MODES:
+        raise FileFormatError(
+            f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
 
     raw_placements = body["placements"]
     if not isinstance(raw_placements, list):
@@ -277,8 +273,10 @@ def loads(text: str) -> ArrangementFile:
 
 
 def save_arrangement(arrangement: Arrangement, path: str) -> None:
+    # Serialise before opening, so a refused document leaves the file as it was.
+    text = dumps(from_arrangement(arrangement))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(from_arrangement(arrangement)))
+        fh.write(text)
 
 
 def load_arrangement(path: str) -> Arrangement:

@@ -10,7 +10,7 @@ board are expressed through placements, never through denormalized cell sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
 
 class Cell(NamedTuple):
@@ -18,15 +18,9 @@ class Cell(NamedTuple):
     row: int
 
 
-CellsLike = Union["Shape", Iterable[Cell]]
-
-
 def _rotate_cell(cell: Cell, m: int) -> Cell:
-    """Rotate a cell m quarter turns clockwise about the grid origin."""
+    """Rotate a cell m = 1, 2 or 3 quarter turns clockwise about the grid origin."""
     i, j = cell
-    m %= 4
-    if m == 0:
-        return Cell(i, j)
     if m == 1:
         return Cell(-j, i)
     if m == 2:
@@ -39,13 +33,6 @@ def _norm_shift(cells: Iterable[Cell]) -> tuple[int, int]:
     if not cs:
         raise ValueError("cannot normalize an empty cell set")
     return 1 - min(c.col for c in cs), 1 - min(c.row for c in cs)
-
-
-def normalize(cells: Iterable[Cell]) -> frozenset[Cell]:
-    """Translate a cell set so its minimum column and minimum row are 1."""
-    cs = {Cell(*c) for c in cells}
-    dc, dr = _norm_shift(cs)
-    return frozenset(Cell(c.col + dc, c.row + dr) for c in cs)
 
 
 @dataclass(frozen=True)
@@ -83,9 +70,6 @@ class Shape:
     @property
     def height(self) -> int:
         return max(c.row for c in self.cells)
-
-    def sorted_cells(self) -> tuple[Cell, ...]:
-        return tuple(sorted(self.cells))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -242,30 +226,3 @@ def rotate(shape: Shape, m: int) -> Shape:
     cells = frozenset(Cell(c.col + dc, c.row + dr) for c in moved)
     a = _rotate_cell(shape.anchor, m)
     return Shape(cells, Cell(a.col + dc, a.row + dr), shape.family, shape.params)
-
-
-def _cellset(obj: CellsLike) -> frozenset[Cell]:
-    if isinstance(obj, Shape):
-        return obj.cells
-    return frozenset(Cell(*c) for c in obj)
-
-
-def canonical_form(obj: CellsLike) -> tuple[Cell, ...]:
-    """Least sorted normalized cell tuple over the four rotations.
-
-    Two cell sets are related by rotation plus translation exactly when
-    their canonical forms coincide.
-    """
-    base = _cellset(obj)
-    best: tuple[Cell, ...] | None = None
-    for m in range(4):
-        cand = tuple(sorted(normalize(_rotate_cell(c, m) for c in base)))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
-
-
-def free_equivalent(p: CellsLike, q: CellsLike) -> bool:
-    """True when q's cells are a rotation and/or translate of p's."""
-    return canonical_form(p) == canonical_form(q)

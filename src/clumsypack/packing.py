@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .geometry import Cell, Shape, rotate
 
@@ -45,11 +45,6 @@ class Board:
     def __contains__(self, cell: Cell) -> bool:
         i, j = cell
         return 1 <= i <= self.n and 1 <= j <= self.n
-
-    def cells(self) -> Iterator[Cell]:
-        for j in range(1, self.n + 1):
-            for i in range(1, self.n + 1):
-                yield Cell(i, j)
 
 
 def default_board(shape: Shape) -> Board:

@@ -39,28 +39,12 @@ class TheoremId(Enum):
     CONJ_L_FIXED = "ConjLFixed"
 
 
-# Entries whose formula value is a (lower, upper) bracket, not an equality.
-BOUNDS_THEOREMS = frozenset({
-    TheoremId.L_FREE_BOUNDS,
-    TheoremId.L_FREE_A1_BOUNDS,
-    TheoremId.T_FREE_BOUNDS,
-})
-
-
 class HypothesisError(ValueError):
     """Parameters fall outside the statement's hypotheses."""
 
 
 class ConstructionError(RuntimeError):
     """The witness recipe cannot deliver an arrangement for these parameters."""
-
-
-def theorem_from_name(name: str) -> TheoremId:
-    try:
-        return TheoremId(name)
-    except ValueError:
-        known = ", ".join(t.value for t in TheoremId)
-        raise ValueError(f"unknown theorem {name!r}; expected one of {known}") from None
 
 
 def _ceil_div(x: int, y: int) -> int:

@@ -1,9 +1,8 @@
 import pytest
 
-from clumsypack.geometry import (Cell, Shape, canonical_form, custom, ell,
-                                 free_equivalent, gen_plus, gen_tee,
-                                 make_shape, normalize, plus, rect, rotate,
-                                 straight_h, straight_v, tee)
+from clumsypack.geometry import (Cell, Shape, custom, ell, gen_plus, gen_tee,
+                                 make_shape, plus, rect, rotate, straight_h,
+                                 straight_v, tee)
 
 
 class TestConstructors:
@@ -200,33 +199,3 @@ class TestRotation:
         expected = {Cell(1, 1), Cell(2, 1), Cell(3, 1), Cell(3, 2)}
         assert r.cells == frozenset(expected)
 
-
-class TestEquivalence:
-    def test_normalize(self):
-        cells = normalize([Cell(3, 5), Cell(4, 5)])
-        assert cells == frozenset({Cell(1, 1), Cell(2, 1)})
-
-    def test_fixed_equivalence_is_translation_only(self):
-        # Translates share a normal form; a rotation does not.
-        assert normalize(ell(1, 2).cells) == normalize([Cell(10, 10), Cell(11, 10),
-                                                        Cell(10, 11), Cell(10, 12)])
-        assert normalize(ell(1, 2).cells) != rotate(ell(1, 2), 1).cells
-
-    def test_free_equivalence_includes_rotations(self):
-        for m in range(4):
-            assert free_equivalent(ell(2, 3), rotate(ell(2, 3), m))
-
-    def test_reflections_are_not_equivalent(self):
-        s = ell(1, 2)
-        width = s.width
-        mirrored = [Cell(width - c.col + 1, c.row) for c in s.cells]
-        assert not free_equivalent(s, mirrored)
-
-    def test_canonical_form_stable_under_rotation(self):
-        s = gen_tee(1, 2, 3)
-        forms = {canonical_form(rotate(s, m)) for m in range(4)}
-        assert len(forms) == 1
-
-    def test_straights_are_free_equivalent(self):
-        assert free_equivalent(straight_v(4), straight_h(4))
-        assert straight_v(4).cells != straight_h(4).cells

@@ -110,6 +110,12 @@ class TestEnumeration:
         assert len(pls) == 16
         assert pls[0] == Placement(0, Cell(1, 1))
 
+    def test_chiral_piece_free_admits_no_reflection(self):
+        # L(1, 2) has no mirror symmetry: each of its four rotations fits
+        # six ways on a 4 x 4 board, and its four reflections would double
+        # the count to 48.
+        assert len(enumerate_placements(ell(1, 2), Board(4), "free")) == 24
+
     def test_lexicographic_order(self):
         pls = enumerate_placements(ell(1, 1), Board(3), "free")
         keys = [(p.rotation, p.anchor_pos.row, p.anchor_pos.col) for p in pls]
