@@ -6,7 +6,8 @@ placement list.  All coordinates are 1-based and written column before row.
 Deserializing a serialized arrangement reproduces it exactly; the one
 normalization applied on write is that custom shapes are re-anchored to
 their lexicographically least cell, with placements shifted to compensate,
-so equal cell sets always serialize the same way.
+so equal cell sets always serialize the same way.  A shape that its family
+and parameters do not rebuild is refused on write.
 
 Every file is written without PyYAML: ``dumps`` prints the document with
 f-strings, byte for byte what PyYAML's safe representer writes for the same
@@ -25,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .geometry import FAMILIES, Cell, Shape, make_shape, rotate
+from .geometry import FAMILIES, Cell, make_shape, rotate
 from .packing import MODES, Arrangement, Board, Placement
 
 
@@ -75,26 +76,36 @@ class ArrangementFile:
 
 
 def from_arrangement(arrangement: Arrangement) -> ArrangementFile:
-    """Describe an arrangement as a document, re-anchoring custom shapes."""
+    """Describe an arrangement as a document, re-anchoring custom shapes.
+
+    Raises FileFormatError when the shape's family and parameters do not
+    rebuild its cells and anchor, as for a rotated piece, which keeps its
+    family metadata: its file would load as another shape, or not at all.
+    """
     shape = arrangement.shape
+    custom_cells = tuple(sorted(shape.cells)) if shape.family == "custom" else None
+    try:
+        # A custom shape comes back anchored at its least cell.
+        rebuilt = make_shape(shape.family, shape.params, custom_cells=custom_cells)
+    except ValueError as exc:
+        raise FileFormatError(f"cannot write the shape: {exc}") from None
+    if custom_cells is None and rebuilt != shape:
+        raise FileFormatError(
+            f"cannot write the shape: {shape.family}{tuple(shape.params)} "
+            "has other cells or another anchor")
     placements = arrangement.placements
-    custom_cells: tuple[Cell, ...] | None = None
-    if shape.family == "custom":
-        custom_cells = tuple(sorted(shape.cells))
-        least = min(shape.cells)
-        if shape.anchor != least:
-            # Moving the anchor must not move any piece: shift each
-            # placement by the offset between the two rotated anchors.
-            reanchored = Shape(shape.cells, least)
-            fixed = []
-            for p in placements:
-                a_old = rotate(shape, p.rotation).anchor
-                a_new = rotate(reanchored, p.rotation).anchor
-                fixed.append(Placement(
-                    p.rotation,
-                    Cell(p.anchor_pos.col + a_new.col - a_old.col,
-                         p.anchor_pos.row + a_new.row - a_old.row)))
-            placements = tuple(fixed)
+    if rebuilt.anchor != shape.anchor:
+        # Moving the anchor must not move any piece: shift each placement
+        # by the offset between the two rotated anchors.
+        fixed = []
+        for p in placements:
+            a_old = rotate(shape, p.rotation).anchor
+            a_new = rotate(rebuilt, p.rotation).anchor
+            fixed.append(Placement(
+                p.rotation,
+                Cell(p.anchor_pos.col + a_new.col - a_old.col,
+                     p.anchor_pos.row + a_new.row - a_old.row)))
+        placements = tuple(fixed)
     rows = tuple({"rotation": p.rotation,
                   "anchor_col": p.anchor_pos.col,
                   "anchor_row": p.anchor_pos.row} for p in placements)
@@ -116,7 +127,8 @@ def dumps(doc: ArrangementFile) -> str:
     writes for the same body in key order.
 
     Raises FileFormatError for a document ``loads`` would refuse for its
-    types: a value that is not exactly an int, or an unknown family or mode.
+    types: a value that is not exactly an int, or an unknown family or mode;
+    or for a custom shape with no cells or a repeated cell.
     """
     rows = [(row["rotation"], row["anchor_col"], row["anchor_row"])
             for row in doc.placements]
@@ -132,6 +144,10 @@ def dumps(doc: ArrangementFile) -> str:
         raise FileFormatError(
             "cannot write the document: its values must be integers, its family "
             f"one of {', '.join(FAMILIES)} and its mode one of {', '.join(MODES)}")
+    if doc.family == "custom" and (not cells or len(set(cells)) != len(cells)):
+        raise FileFormatError(
+            "cannot write the document: a custom shape needs at least one cell, "
+            "each listed once")
     params = "".join(f"\n- {p}" for p in doc.params) or " []"
     placements = "".join(f"\n- rotation: {r}\n  anchor_col: {c}\n  anchor_row: {w}"
                          for r, c, w in rows) or " []"

@@ -87,6 +87,10 @@ class BudgetExceededError(RuntimeError):
             f"search budget exhausted after {nodes} nodes; "
             f"clumsy number is in [{lower}, {up}]")
 
+    def __reduce__(self):
+        # Rebuilt from the bracket, so the error crosses a process pool.
+        return type(self), (self.lower, self.upper, self.nodes)
+
 
 class OracleGuardError(RuntimeError):
     """The instance is too large for the definitional oracle."""

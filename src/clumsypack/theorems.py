@@ -2,10 +2,10 @@
 
 ``CLAIMS`` holds one entry per result of the paper.  Each entry couples a
 shape family and mode with a closed-form value (or a lower/upper bracket)
-for its clumsy packing number, plus a recipe that builds an arrangement
-realizing the claimed size.  ``check_theorem`` then cross-examines up to
-three independent routes to the answer: the formula, the built witness,
-and the exact solver.
+for its clumsy packing number, plus a recipe that places the pieces of an
+arrangement realizing the claimed size.  ``check_theorem`` then
+cross-examines up to three independent routes to the answer: the formula,
+the built witness, and the exact solver.
 
 One entry is a conjecture rather than a theorem: it has a formula but no
 witness recipe, and the solver may refute it.
@@ -19,7 +19,7 @@ from typing import Callable
 
 from .geometry import Cell, Shape, custom, ell, plus, rect, straight_v, tee
 from .packing import Arrangement, Board, Placement, _tables, _verdict
-from .solver import DEFAULT_NODE_BUDGET, clumsy_number, first_maximal_arrangement
+from .solver import clumsy_number, first_maximal_arrangement
 
 
 @unique
@@ -58,7 +58,9 @@ class Claim:
     ``instance`` maps the parameters to the shape and the board side the
     claim is about, and ``mode`` says how copies may move.  ``value`` gives
     the claimed clumsy number, or a (lower, upper) bracket.  ``construction``
-    builds the witness the proof describes; it is None for the conjecture.
+    maps the board side and the parameters to the placements of the witness
+    the proof describes, which ``build_construction`` puts on the instance;
+    it is None for the conjecture.
     """
 
     params: tuple[str, ...]
@@ -67,7 +69,7 @@ class Claim:
     value: Callable[..., int | tuple[int, int]]
     instance: Callable[..., tuple[Shape, int]]
     mode: str
-    construction: Callable[..., Arrangement] | None
+    construction: Callable[..., tuple[Placement, ...]] | None
 
 
 def _rect_fixed_value(a: int, b: int) -> int:
@@ -97,41 +99,33 @@ def _blocking_grid_starts(n: int, w: int) -> list[int]:
 
     First block begins at w (leaving a w-1 margin), then every 2w-1; if the
     trailing margin could still hold a block, one more goes flush at the end.
-    Every gap between blocks ends up at most w-1 wide.
+    Every gap between blocks ends up at most w-1 wide.  The claim's board
+    side n = ab holds at least one block along either axis.
     """
     starts = []
     s = w
     while s + w - 1 <= n:
         starts.append(s)
         s += 2 * w - 1
-    if not starts:
-        raise ConstructionError(f"board of side {n} cannot hold a width-{w} block")
     if n - (starts[-1] + w - 1) >= w:
         starts.append(n - w + 1)
     return starts
 
 
-def _rect_fixed_construction(a: int, b: int) -> Arrangement:
-    n = a * b
-    board = Board(n)
-    shape = rect(a, b)
-    ac, ar = shape.anchor
-    placements = []
-    for sy in _blocking_grid_starts(n, b):
-        for sx in _blocking_grid_starts(n, a):
-            placements.append(Placement(0, Cell(sx + ac - 1, sy + ar - 1)))
-    return Arrangement(board, shape, "fixed", tuple(placements))
+def _rect_fixed_construction(n: int, a: int, b: int) -> tuple[Placement, ...]:
+    # rect(a, b) is anchored in column a // 2 and row b // 2 (at least 1).
+    ac, ar = max(1, a // 2), max(1, b // 2)
+    xs = _blocking_grid_starts(n, a)
+    return tuple(Placement(0, Cell(sx + ac - 1, sy + ar - 1))
+                 for sy in _blocking_grid_starts(n, b) for sx in xs)
 
 
-def _straight_construction(n: int, mode: str) -> Arrangement:
-    shape = straight_v(n)
-    row = shape.anchor.row
-    placements = tuple(Placement(0, Cell(i, row)) for i in range(1, n + 1))
-    return Arrangement(Board(n), shape, mode, placements)
+def _straight_construction(n: int, _: int) -> tuple[Placement, ...]:
+    # One piece per column; straight_v(n) is anchored in row n // 2 (at least 1).
+    return tuple(Placement(0, Cell(i, max(1, n // 2))) for i in range(1, n + 1))
 
 
-def _t_fixed_wide_construction(a: int, b: int) -> Arrangement:
-    n = 2 * a + b + 1
+def _t_fixed_wide_construction(n: int, a: int, b: int) -> tuple[Placement, ...]:
     xstar = max(a, b) + 1
     ys = []
     y = b + 1
@@ -142,18 +136,15 @@ def _t_fixed_wide_construction(a: int, b: int) -> Arrangement:
         # The progression stopped one bar short of the bottom window; a
         # final piece flush with the bottom edge closes it.
         ys.append(n - b)
-    placements = tuple(Placement(0, Cell(xstar, yy)) for yy in ys)
-    return Arrangement(Board(n), tee(a, b), "fixed", placements)
+    return tuple(Placement(0, Cell(xstar, yy)) for yy in ys)
 
 
-def _t_fixed_tall_construction(a: int, b: int) -> Arrangement:
-    n = 2 * a + b + 1
+def _t_fixed_tall_construction(_: int, a: int, b: int) -> tuple[Placement, ...]:
     m = _ceil_div(b + 1, 2 * a + 1)
     # Bars sit side by side along the top row, stems hanging below.  The bar
     # block must cover every column a stem could use, which pins its start.
     s = max(1, a + b + 2 - m * (2 * a + 1))
-    placements = tuple(Placement(0, Cell(s + a + t * (2 * a + 1), 1)) for t in range(m))
-    return Arrangement(Board(n), tee(a, b), "fixed", placements)
+    return tuple(Placement(0, Cell(s + a + t * (2 * a + 1), 1)) for t in range(m))
 
 
 def _pinwheel(b: int) -> tuple[Placement, ...]:
@@ -163,71 +154,47 @@ def _pinwheel(b: int) -> tuple[Placement, ...]:
             Placement(2, Cell(b + 2, b + 1)), Placement(3, Cell(2, b + 2)))
 
 
-def _l_free_five_construction(a: int, b: int) -> Arrangement:
+def _l_free_five_construction(n: int, a: int, b: int) -> tuple[Placement, ...]:
     if not 2 <= a < b:
         raise ConstructionError(
             f"the five-piece L recipe needs 2 <= a < b, got a={a}, b={b}")
-    n = a + b + 1
     # The pinwheel fills the top-left (b+2)-square; a fifth piece rotated
     # halfway around is tucked against the bottom-right edges.
-    placements = _pinwheel(b) + (Placement(2, Cell(n, b + 3)),)
-    return Arrangement(Board(n), ell(a, b), "free", placements)
+    return _pinwheel(b) + (Placement(2, Cell(n, b + 3)),)
 
 
-def _l_free_a1_construction(b: int) -> Arrangement:
+def _l_free_a1_construction(_: int, b: int) -> tuple[Placement, ...]:
     if b < 2:
         raise ConstructionError(
             f"the four-piece L recipe needs b >= 2, got b={b}")
-    return Arrangement(Board(b + 2), ell(1, b), "free", _pinwheel(b))
+    return _pinwheel(b)
 
 
-def _l_fixed_equal_construction(a: int) -> Arrangement:
-    return Arrangement(Board(2 * a + 1), ell(a, a), "fixed", (Placement(0, Cell(a + 1, 1)),))
-
-
-def _l_free_equal_construction(a: int) -> Arrangement:
-    return Arrangement(Board(2 * a + 1), ell(a, a), "free",
-                       (Placement(0, Cell(a + 1, a + 1)), Placement(0, Cell(a, 1))))
-
-
-def _t_free_equal_construction(a: int) -> Arrangement:
-    return Arrangement(Board(3 * a + 1), tee(a, a), "free",
-                       (Placement(0, Cell(a + 1, a + 1)),
-                        Placement(1, Cell(2 * a + 2, 2 * a + 1))))
-
-
-def _t_free_four_construction(a: int, b: int) -> Arrangement:
-    n = 2 * a + b + 1
+def _t_free_four_construction(n: int, a: int, b: int) -> tuple[Placement, ...]:
     c = min(a, b)
-    return Arrangement(Board(n), tee(a, b), "free",
-                       (Placement(0, Cell(a + 1, c)),
-                        Placement(1, Cell(n - c + 1, a + 1)),
-                        Placement(2, Cell(n - a, n - c + 1)),
-                        Placement(3, Cell(c, n - a))))
-
-
-def _plus_construction(a: int) -> Arrangement:
-    return Arrangement(Board(4 * a + 1), plus(a), "free",
-                       (Placement(0, Cell(2 * a + 1, 2 * a + 1)),))
+    return (Placement(0, Cell(a + 1, c)), Placement(1, Cell(n - c + 1, a + 1)),
+            Placement(2, Cell(n - a, n - c + 1)), Placement(3, Cell(c, n - a)))
 
 
 # One entry per result, its fields in Claim order.
 CLAIMS: dict[TheoremId, Claim] = {
     TheoremId.STRAIGHT_FIXED: Claim(
         ("n",), lambda n: n >= 1, "n >= 1", lambda n: n,
-        lambda n: (straight_v(n), n), "fixed", lambda n: _straight_construction(n, "fixed")),
+        lambda n: (straight_v(n), n), "fixed", _straight_construction),
     TheoremId.STRAIGHT_FREE: Claim(
         ("n",), lambda n: n >= 1, "n >= 1", lambda n: n,
-        lambda n: (straight_v(n), n), "free", lambda n: _straight_construction(n, "free")),
+        lambda n: (straight_v(n), n), "free", _straight_construction),
     TheoremId.RECT_FIXED: Claim(
         ("a", "b"), lambda a, b: a >= 2 and b >= 2, "a, b >= 2", _rect_fixed_value,
         lambda a, b: (rect(a, b), a * b), "fixed", _rect_fixed_construction),
     TheoremId.L_FIXED_EQUAL: Claim(
         ("a",), lambda a: a >= 1, "a >= 1", lambda a: 1,
-        lambda a: (ell(a, a), 2 * a + 1), "fixed", _l_fixed_equal_construction),
+        lambda a: (ell(a, a), 2 * a + 1), "fixed",
+        lambda _, a: (Placement(0, Cell(a + 1, 1)),)),
     TheoremId.L_FREE_EQUAL: Claim(
         ("a",), lambda a: a >= 1, "a >= 1", lambda a: 2,
-        lambda a: (ell(a, a), 2 * a + 1), "free", _l_free_equal_construction),
+        lambda a: (ell(a, a), 2 * a + 1), "free",
+        lambda _, a: (Placement(0, Cell(a + 1, a + 1)), Placement(0, Cell(a, 1)))),
     TheoremId.L_FREE_BOUNDS: Claim(
         ("a", "b"), lambda a, b: 1 <= a <= b, "1 <= a <= b", lambda a, b: (2, 5),
         lambda a, b: (ell(a, b), a + b + 1), "free", _l_free_five_construction),
@@ -244,13 +211,16 @@ CLAIMS: dict[TheoremId, Claim] = {
         lambda a, b: (tee(a, b), 2 * a + b + 1), "fixed", _t_fixed_tall_construction),
     TheoremId.T_FREE_EQUAL: Claim(
         ("a",), lambda a: a >= 1, "a >= 1", lambda a: 2,
-        lambda a: (tee(a, a), 3 * a + 1), "free", _t_free_equal_construction),
+        lambda a: (tee(a, a), 3 * a + 1), "free",
+        lambda _, a: (Placement(0, Cell(a + 1, a + 1)),
+                      Placement(1, Cell(2 * a + 2, 2 * a + 1)))),
     TheoremId.T_FREE_BOUNDS: Claim(
         ("a", "b"), lambda a, b: a >= 1 and b >= 1, "a, b >= 1", lambda a, b: (2, 4),
         lambda a, b: (tee(a, b), 2 * a + b + 1), "free", _t_free_four_construction),
     TheoremId.PLUS_ANY: Claim(
         ("a",), lambda a: a >= 1, "a >= 1", lambda a: 1,
-        lambda a: (plus(a), 4 * a + 1), "free", _plus_construction),
+        lambda a: (plus(a), 4 * a + 1), "free",
+        lambda _, a: (Placement(0, Cell(2 * a + 1, 2 * a + 1)),)),
     TheoremId.CONJ_L_FIXED: Claim(
         ("a", "b"), lambda a, b: 1 <= b < a, "1 <= b < a", _conj_l_fixed_value,
         lambda a, b: (_ell_wide(a, b), a + b + 1), "fixed", None),
@@ -286,7 +256,8 @@ def instance_of(theorem: TheoremId, params: tuple[int, ...]
 
 
 def build_construction(theorem: TheoremId, *params: int) -> Arrangement:
-    """The witness arrangement a theorem's proof describes.
+    """The witness arrangement a theorem's proof describes, on the claim's
+    shape, board and mode.
 
     Raises ConstructionError when no recipe exists (the conjecture) or the
     recipe's own side conditions fail.
@@ -294,7 +265,8 @@ def build_construction(theorem: TheoremId, *params: int) -> Arrangement:
     claim, ps = _check_params(theorem, params)
     if claim.construction is None:
         raise ConstructionError("the conjectured formula has no witness recipe")
-    return claim.construction(*ps)
+    shape, side = claim.instance(*ps)
+    return Arrangement(Board(side), shape, claim.mode, claim.construction(side, *ps))
 
 
 # Above this many placements check_theorem leaves the solver leg out.
@@ -315,30 +287,34 @@ class TheoremReport:
 
 
 def check_theorem(theorem: TheoremId, params: tuple[int, ...],
-                  with_solver: bool = False, *,
-                  node_budget: int = DEFAULT_NODE_BUDGET) -> TheoremReport:
+                  with_solver: bool = False) -> TheoremReport:
     """Compare formula, construction, and (optionally) solver on one instance.
 
     The construction passes when it is valid, maximal, and has exactly the
     claimed size (the upper bound, for bracket entries).  The solver leg is
     skipped on instances with more placements than SOLVER_PLACEMENT_LIMIT.
     """
-    ps = tuple(int(p) for p in params)
-    value = formula_value(theorem, *ps)
+    claim, ps = CLAIMS[theorem], tuple(int(p) for p in params)
     try:
+        # The one check of the parameters against the claim: a
+        # HypothesisError ends the cross-check here.
         construction: Arrangement | None = build_construction(theorem, *ps)
     except ConstructionError:
         construction = None
+    value = claim.value(*ps)
     construction_ok: bool | None = None
     if construction is not None:
         target = value[1] if isinstance(value, tuple) else value
         construction_ok = _verdict(construction)[1] and construction.size == target
     solver_value: int | None = None
     if with_solver:
-        shape, board, mode = instance_of(theorem, ps)
-        if len(_tables(shape, board, mode)[1]) <= SOLVER_PLACEMENT_LIMIT:
-            solver_value = clumsy_number(
-                shape, board, mode, node_budget=node_budget).clumsy_number
+        if construction is None:
+            shape, side = claim.instance(*ps)
+            board = Board(side)
+        else:
+            shape, board = construction.shape, construction.board
+        if len(_tables(shape, board, claim.mode)[1]) <= SOLVER_PLACEMENT_LIMIT:
+            solver_value = clumsy_number(shape, board, claim.mode).clumsy_number
     consistent = construction_ok is not False
     if solver_value is not None:
         if isinstance(value, tuple):

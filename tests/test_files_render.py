@@ -398,13 +398,15 @@ def odd_docs(draw):
 
 
 def writable(doc):
-    """A known family and mode, and nothing but ints as values."""
+    """A known family and mode, nothing but ints as values, and for a
+    custom shape at least one cell, each listed once."""
+    cells = (doc.custom_cells or ()) if doc.family == "custom" else ()
     values = [doc.board_n, *doc.params,
-              *(v for row in doc.placements for v in row.values())]
-    if doc.family == "custom":
-        values += [v for cell in doc.custom_cells for v in cell]
+              *(v for row in doc.placements for v in row.values()),
+              *(v for cell in cells for v in cell)]
     return (doc.family in FAMILIES and doc.mode in MODES
-            and all(type(v) is int for v in values))
+            and all(type(v) is int for v in values)
+            and (doc.family != "custom" or 0 < len(set(cells)) == len(cells)))
 
 
 class TestWriter:
@@ -421,6 +423,9 @@ class TestWriter:
                              (Cell(1, 1), Cell(2, 1))))
     @example(ArrangementFile(5, "custom", (3,), "free", (), ()))
     @example(ArrangementFile(5, "custom", (), "free", (), (Cell(1, True),)))
+    @example(ArrangementFile(5, "custom", (), "free", (_row(0, 1, 1),), ()))
+    @example(ArrangementFile(5, "custom", (), "free", (_row(0, 1, 1),),
+                             (Cell(1, 1), Cell(2, 1), Cell(1, 1))))
     @example(ArrangementFile(5, "foo", (), "free", ()))
     def test_matches_pyyaml(self, doc):
         body = {"board_n": doc.board_n, "family": doc.family,
@@ -445,6 +450,25 @@ class TestWriter:
         shape = Shape(ell(1, 2).cells, Cell(1, 1), family="foo")
         with pytest.raises(FileFormatError, match="cannot write"):
             save_arrangement(Arrangement(Board(4), shape, "free", ()), str(path))
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("shape,match", [
+        # A rotated piece keeps its family and parameters, so its file
+        # would load as the unrotated L.
+        (rotate(ell(1, 2), 1), "has other cells"),
+        (Shape(ell(1, 2).cells, Cell(1, 1), family="L", params=(5,)), "takes 2"),
+        (Shape(ell(1, 2).cells, Cell(1, 1), family="L", params=(2, 1)), "0 < a <= b"),
+        (Shape(ell(1, 2).cells, Cell(1, 1), family="L", params=(1, 3)), "has other cells"),
+        (Shape(ell(1, 2).cells, Cell(2, 1), family="L", params=(1, 2)), "another anchor"),
+        (Shape(ell(1, 2).cells, Cell(1, 1), family="custom", params=(2,)), "no parameters"),
+    ])
+    def test_shape_its_family_does_not_rebuild_is_refused(self, tmp_path, shape, match):
+        path = tmp_path / "kept.yaml"
+        save_arrangement(build_example("L36"), str(path))
+        before = path.read_bytes()
+        arr = Arrangement(Board(4), shape, "free", (Placement(0, Cell(2, 2)),))
+        with pytest.raises(FileFormatError, match=f"cannot write the shape: .*{match}"):
+            save_arrangement(arr, str(path))
         assert path.read_bytes() == before
 
 

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from clumsypack.geometry import Cell, ell, plus, rect, straight_h, straight_v, tee
@@ -165,6 +168,15 @@ class TestBudget:
         assert err.lower >= 1
         assert err.upper is not None and err.lower <= err.upper
         assert "clumsy number is in" in str(err)
+
+    def test_error_survives_pickle_and_copy(self):
+        # A budget stop in a process-pool worker reaches the caller pickled.
+        for upper in (6, None):
+            err = BudgetExceededError(4, upper, 1001)
+            for back in (pickle.loads(pickle.dumps(err)), copy.copy(err)):
+                assert type(back) is BudgetExceededError
+                assert (back.lower, back.upper, back.nodes, str(back)) == \
+                    (4, upper, 1001, str(err))
 
     def test_time_budget_zero(self):
         # the clock is first read at node 1, so a spent deadline stops the

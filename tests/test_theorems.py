@@ -192,6 +192,24 @@ class TestConstructions:
         arr = build_construction(T.RECT_FIXED, 2, 3)
         assert arr.mode == "fixed"
 
+    @pytest.mark.parametrize("t", [t for t in TheoremId if CLAIMS[t].construction])
+    def test_recipe_lies_on_the_claims_instance(self, t):
+        built = 0
+        for ps in itertools.product(range(1, 9), repeat=len(CLAIMS[t].params)):
+            if not CLAIMS[t].hypothesis(*ps):
+                continue
+            try:
+                arr = build_construction(t, *ps)
+            except ConstructionError:
+                continue  # the recipe's own side conditions fail
+            shape, board, mode = instance_of(t, ps)
+            got = arr.shape
+            assert (got.cells, got.anchor, got.family, got.params) == \
+                (shape.cells, shape.anchor, shape.family, shape.params), ps
+            assert (arr.board, arr.mode) == (board, mode), ps
+            built += 1
+        assert built
+
 
 class TestConstructionErrors:
     @pytest.mark.parametrize("t,ps", [
