@@ -11,14 +11,14 @@ and parameters do not rebuild is refused on write.
 
 Every file is written without PyYAML: ``dumps`` prints the document with
 f-strings, byte for byte what PyYAML's safe representer writes for the same
-body in key order, and refuses a document whose values ``loads`` could not
-read back (a value that is not an int, an unknown family or mode).  PyYAML
-only reads.  ``loads`` reads the layout ``dumps`` writes for a named family
-with one regular expression (``_parse_canonical``): the five keys in order,
-block lists or ``[]``, rows of exactly rotation, anchor_col and anchor_row,
-and integers in plain decimal.  It gives the values PyYAML would.  Any other
-text, custom shapes' files included, goes through PyYAML, imported on first
-use, and both routes end in the same checks and error messages.
+body in key order.  It refuses any document ``loads`` would refuse, by running
+the same check (``_document``) on that body.  PyYAML only reads.  ``loads``
+reads the layout ``dumps`` writes for a named family with one regular
+expression (``_parse_canonical``): the five keys in order, block lists or
+``[]``, rows of exactly rotation, anchor_col and anchor_row, and integers in
+plain decimal.  It gives the values PyYAML would.  Any other text, custom
+shapes' files included, goes through PyYAML, imported on first use, and both
+routes end in ``_document``.
 """
 
 from __future__ import annotations
@@ -126,36 +126,28 @@ def dumps(doc: ArrangementFile) -> str:
     """The document as YAML, byte for byte what PyYAML's safe representer
     writes for the same body in key order.
 
-    Raises FileFormatError for a document ``loads`` would refuse for its
-    types: a value that is not exactly an int, or an unknown family or mode;
-    or for a custom shape with no cells or a repeated cell.
+    Raises FileFormatError for any document ``loads`` would refuse, found by
+    running the same check on the body PyYAML would write.
     """
-    rows = [(row["rotation"], row["anchor_col"], row["anchor_row"])
-            for row in doc.placements]
-    cells = (doc.custom_cells or ()) if doc.family == "custom" else ()
-    # An int prints as str(int) in YAML too, and the family names and modes
-    # are plain scalars.  PyYAML would spell any other value its own way
-    # (True as true, quoted strings), and loads refuses every such value.
-    if not (type(doc.board_n) is int and doc.family in FAMILIES
-            and doc.mode in MODES
-            and all(type(p) is int for p in doc.params)
-            and all(type(v) is int for row in rows for v in row)
-            and all(type(v) is int for cell in cells for v in cell)):
-        raise FileFormatError(
-            "cannot write the document: its values must be integers, its family "
-            f"one of {', '.join(FAMILIES)} and its mode one of {', '.join(MODES)}")
-    if doc.family == "custom" and (not cells or len(set(cells)) != len(cells)):
-        raise FileFormatError(
-            "cannot write the document: a custom shape needs at least one cell, "
-            "each listed once")
+    body = {"board_n": doc.board_n, "family": doc.family, "params": list(doc.params),
+            "mode": doc.mode, "placements": list(doc.placements)}
+    if doc.custom_cells is not None:
+        body["custom_cells"] = [list(cell) for cell in doc.custom_cells]
+    try:
+        _document(body)
+    except FileFormatError as exc:
+        raise FileFormatError(f"cannot write the document: {exc}") from None
+    # The check leaves ints, a family name and a mode, which YAML prints as
+    # they are, and a custom shape with at least one cell.
     params = "".join(f"\n- {p}" for p in doc.params) or " []"
-    placements = "".join(f"\n- rotation: {r}\n  anchor_col: {c}\n  anchor_row: {w}"
-                         for r, c, w in rows) or " []"
+    placements = "".join(
+        f"\n- rotation: {row['rotation']}\n  anchor_col: {row['anchor_col']}"
+        f"\n  anchor_row: {row['anchor_row']}" for row in doc.placements) or " []"
     text = (f"board_n: {doc.board_n}\nfamily: {doc.family}\nparams:{params}\n"
             f"mode: {doc.mode}\nplacements:{placements}\n")
-    if doc.family == "custom":
-        cell_rows = "".join(f"\n- - {col}\n  - {row}" for col, row in cells) or " []"
-        text += f"custom_cells:{cell_rows}\n"
+    if doc.custom_cells is not None:
+        text += "custom_cells:" + "".join(
+            f"\n- - {col}\n  - {row}" for col, row in body["custom_cells"]) + "\n"
     return text
 
 
@@ -180,24 +172,17 @@ def _parse_canonical(text: str) -> dict | None:
 
 
 def _need_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:
         raise FileFormatError(f"{where} must be an integer, got {value!r}")
     return value
 
 
-def _rotation_error(i: int, rotation: int) -> FileFormatError:
-    return FileFormatError(f"placement {i} rotation must be in 0..3, got {rotation}")
+_ROW_KEYS = {"rotation", "anchor_col", "anchor_row"}
 
 
-def loads(text: str) -> ArrangementFile:
-    body = _parse_canonical(text)
-    canonical = body is not None
-    if not canonical:
-        yaml = _yaml()
-        try:
-            body = yaml.load(text, Loader=_Loader)
-        except yaml.YAMLError as exc:
-            raise FileFormatError(f"not valid YAML: {exc}") from None
+def _document(body) -> ArrangementFile:
+    """The document a parsed body holds; raises FileFormatError for the
+    first value that breaks the format."""
     if not isinstance(body, dict):
         raise FileFormatError("top level must be a mapping")
     allowed = {"board_n", "family", "params", "mode", "placements", "custom_cells"}
@@ -227,32 +212,25 @@ def loads(text: str) -> ArrangementFile:
         raise FileFormatError(
             f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
 
-    raw_placements = body["placements"]
-    if not isinstance(raw_placements, list):
+    placements = body["placements"]
+    if not isinstance(placements, list):
         raise FileFormatError("placements must be a list")
-    if canonical:
-        # The regular expression made each row a dict of the three keys
-        # with int values, so only the rotation's range is left to check.
-        placements = raw_placements
-        for i, row in enumerate(placements, start=1):
-            if not 0 <= row["rotation"] <= 3:
-                raise _rotation_error(i, row["rotation"])
-    else:
-        placements = []
-        for i, row in enumerate(raw_placements, start=1):
-            if not isinstance(row, dict) or set(row) != {"rotation", "anchor_col",
-                                                         "anchor_row"}:
-                raise FileFormatError(
-                    f"placement {i} must have exactly the keys rotation, "
-                    "anchor_col, anchor_row")
-            rotation = _need_int(row["rotation"], f"placement {i} rotation")
-            if not 0 <= rotation <= 3:
-                raise _rotation_error(i, rotation)
-            placements.append({
-                "rotation": rotation,
-                "anchor_col": _need_int(row["anchor_col"], f"placement {i} anchor_col"),
-                "anchor_row": _need_int(row["anchor_row"], f"placement {i} anchor_row"),
-            })
+    for i, row in enumerate(placements, start=1):
+        # One test passes a valid row; only a failing row is taken apart
+        # to say what is wrong with it.
+        if (type(row) is dict and row.keys() == _ROW_KEYS
+                and type(row["rotation"]) is int and type(row["anchor_col"]) is int
+                and type(row["anchor_row"]) is int and 0 <= row["rotation"] <= 3):
+            continue
+        if type(row) is not dict or row.keys() != _ROW_KEYS:
+            raise FileFormatError(
+                f"placement {i} must have exactly the keys rotation, "
+                "anchor_col, anchor_row")
+        rotation = _need_int(row["rotation"], f"placement {i} rotation")
+        if not 0 <= rotation <= 3:
+            raise FileFormatError(f"placement {i} rotation must be in 0..3, got {rotation}")
+        _need_int(row["anchor_col"], f"placement {i} anchor_col")
+        _need_int(row["anchor_row"], f"placement {i} anchor_row")
 
     custom_cells: tuple[Cell, ...] | None = None
     if family == "custom":
@@ -279,13 +257,23 @@ def loads(text: str) -> ArrangementFile:
     elif "custom_cells" in body:
         raise FileFormatError("custom_cells is only allowed for family custom")
 
-    doc = ArrangementFile(board_n, family, params, mode, tuple(placements),
-                          custom_cells)
     try:
-        make_shape(doc.family, doc.params, custom_cells=doc.custom_cells)
+        make_shape(family, params, custom_cells=custom_cells)
     except ValueError as exc:
         raise FileFormatError(f"shape parameters invalid: {exc}") from None
-    return doc
+    return ArrangementFile(board_n, family, params, mode, tuple(placements),
+                           custom_cells)
+
+
+def loads(text: str) -> ArrangementFile:
+    body = _parse_canonical(text)
+    if body is None:
+        yaml = _yaml()
+        try:
+            body = yaml.load(text, Loader=_Loader)
+        except yaml.YAMLError as exc:
+            raise FileFormatError(f"not valid YAML: {exc}") from None
+    return _document(body)
 
 
 def save_arrangement(arrangement: Arrangement, path: str) -> None:

@@ -88,7 +88,7 @@ class BudgetExceededError(RuntimeError):
             f"clumsy number is in [{lower}, {up}]")
 
     def __reduce__(self):
-        # Rebuilt from the bracket, so the error crosses a process pool.
+        # Rebuilt from the bracket, so the error survives pickle and copy.
         return type(self), (self.lower, self.upper, self.nodes)
 
 

@@ -273,6 +273,16 @@ def load_outcome(text):
         return f"FileFormatError: {exc}"
 
 
+def pyyaml_text(doc):
+    """PyYAML's text of the body dumps writes for doc."""
+    body = {"board_n": doc.board_n, "family": doc.family,
+            "params": list(doc.params), "mode": doc.mode,
+            "placements": [dict(row) for row in doc.placements]}
+    if doc.custom_cells is not None:
+        body["custom_cells"] = [[c.col, c.row] for c in doc.custom_cells]
+    return yaml.safe_dump(body, sort_keys=False)
+
+
 def pyyaml_outcome(text):
     """What loads gives when every text goes through PyYAML."""
     with pytest.MonkeyPatch.context() as mp:
@@ -287,10 +297,14 @@ class TestCanonicalReader:
         try:
             text = dumps(doc)
         except FileFormatError:
-            return  # a bool rotation: no file to read
+            # A document loads refuses: no file is written, but PyYAML's
+            # text of it is read, so invalid canonical texts are compared too.
+            text = pyyaml_text(doc)
         assert load_outcome(text) == pyyaml_outcome(text)
-        if doc.family != "custom":
-            # The layout save writes takes the direct route.
+        if doc.family != "custom" and all(type(row["rotation"]) is int
+                                          for row in doc.placements):
+            # A named family's ints, valid or not, are in the layout save
+            # writes, and take the direct route.
             assert files._parse_canonical(text) == yaml.safe_load(text)
 
     def base(self):
@@ -397,18 +411,6 @@ def odd_docs(draw):
         tuple(_row(*row) for row in rows), cells)
 
 
-def writable(doc):
-    """A known family and mode, nothing but ints as values, and for a
-    custom shape at least one cell, each listed once."""
-    cells = (doc.custom_cells or ()) if doc.family == "custom" else ()
-    values = [doc.board_n, *doc.params,
-              *(v for row in doc.placements for v in row.values()),
-              *(v for cell in cells for v in cell)]
-    return (doc.family in FAMILIES and doc.mode in MODES
-            and all(type(v) is int for v in values)
-            and (doc.family != "custom" or 0 < len(set(cells)) == len(cells)))
-
-
 class TestWriter:
     @SETTINGS
     @given(st.one_of(arrangement_docs(), raw_docs(), odd_docs()))
@@ -428,20 +430,49 @@ class TestWriter:
                              (Cell(1, 1), Cell(2, 1), Cell(1, 1))))
     @example(ArrangementFile(5, "foo", (), "free", ()))
     def test_matches_pyyaml(self, doc):
-        body = {"board_n": doc.board_n, "family": doc.family,
-                "params": list(doc.params), "mode": doc.mode,
-                "placements": [dict(row) for row in doc.placements]}
-        if doc.family == "custom":
-            body["custom_cells"] = [[c.col, c.row] for c in doc.custom_cells]
-        want = yaml.safe_dump(body, sort_keys=False)
-        if writable(doc):
+        want = pyyaml_text(doc)
+        outcome = load_outcome(want)
+        if isinstance(outcome, ArrangementFile):
             assert dumps(doc) == want
         else:
-            # Such a file could not be read back, so none is written.
-            with pytest.raises(FileFormatError, match="cannot write"):
+            # Such a file could not be read back, so none is written, and
+            # the refusal gives loads' reason.
+            with pytest.raises(FileFormatError) as refused:
                 dumps(doc)
-            with pytest.raises(FileFormatError):
-                loads(want)
+            assert str(refused.value) == ("cannot write the document: "
+                                          + outcome.removeprefix("FileFormatError: "))
+
+    # Documents an earlier writer wrote though loads refuses them, or wrote
+    # without a field, or failed on with a KeyError.
+    @pytest.mark.parametrize("doc,reason", [
+        (ArrangementFile(4, "L", (5,), "free", ()),
+         "shape parameters invalid: family 'L' takes 2 parameter(s), got 1"),
+        (ArrangementFile(0, "L", (1, 2), "free", ()), "board_n must be positive, got 0"),
+        (ArrangementFile(4, "L", (1, 2), "free", (_row(7, 1, 1),)),
+         "placement 1 rotation must be in 0..3, got 7"),
+        (ArrangementFile(4, "custom", (2,), "free", (), (Cell(1, 1),)),
+         "shape parameters invalid: family 'custom' takes no parameters, got 1"),
+        (ArrangementFile(4, "L", (1, 2), "free", (), (Cell(1, 1),)),
+         "custom_cells is only allowed for family custom"),
+        (ArrangementFile(4, "L", (1, 2), "free", (_row(0, 1, 1) | {"color": "red"},)),
+         "placement 1 must have exactly the keys rotation, anchor_col, anchor_row"),
+        (ArrangementFile(4, "L", (1, 2), "free", ({"rotation": 0, "anchor_col": 1},)),
+         "placement 1 must have exactly the keys rotation, anchor_col, anchor_row"),
+    ], ids=["L params (5,)", "board 0", "rotation 7", "custom params (2,)",
+            "custom cells on L", "fourth row key", "no anchor_row"])
+    def test_refuses_what_loads_refuses(self, doc, reason):
+        assert load_outcome(pyyaml_text(doc)) == f"FileFormatError: {reason}"
+        with pytest.raises(FileFormatError) as refused:
+            dumps(doc)
+        assert str(refused.value) == f"cannot write the document: {reason}"
+
+    def test_refuses_int_subclass(self):
+        # YAML reads no int subclass, so none is written as an int.
+        class Side(int):
+            pass
+        with pytest.raises(FileFormatError, match=r"^cannot write the document: "
+                           r"board_n must be an integer, got 4$"):
+            dumps(ArrangementFile(Side(4), "L", (1, 2), "free", ()))
 
     def test_refused_save_keeps_the_file(self, tmp_path):
         path = tmp_path / "kept.yaml"
