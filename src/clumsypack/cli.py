@@ -75,14 +75,7 @@ def _parse_range(text: str) -> range:
 
 def _shape_from_args(args: argparse.Namespace) -> Shape:
     cells = _parse_cells(args.custom_cells) if args.custom_cells else None
-    anchor = None
-    if args.anchor:
-        pair = _parse_cells(args.anchor)
-        if len(pair) != 1:
-            raise ValueError("anchor must be a single 'col,row' pair")
-        anchor = pair[0]
-    return make_shape(args.family, _parse_params(args.params or ""),
-                      custom_cells=cells, anchor=anchor)
+    return make_shape(args.family, _parse_params(args.params or ""), custom_cells=cells)
 
 
 def _board_from_args(args: argparse.Namespace, shape: Shape) -> Board:
@@ -98,8 +91,6 @@ def _add_shape_options(sub: argparse.ArgumentParser) -> None:
                      help="comma-separated family parameters, e.g. '3,6'")
     sub.add_argument("--custom-cells", default=None,
                      help="cells for family custom, e.g. '1,1;2,1;1,2'")
-    sub.add_argument("--anchor", default=None,
-                     help="anchor cell for family custom, e.g. '1,1'")
     sub.add_argument("--board", type=int, default=None,
                      help="board side length (default: one cell per shape cell)")
     sub.add_argument("--mode", choices=MODES, default="free",

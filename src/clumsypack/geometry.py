@@ -191,12 +191,11 @@ def check_family(family: str, count: int) -> None:
 
 
 def make_shape(family: str, params: Iterable[int] = (),
-               custom_cells: Iterable[Cell] | None = None,
-               anchor: Cell | None = None) -> Shape:
+               custom_cells: Iterable[Cell] | None = None) -> Shape:
     """Build a shape from a family name and its integer parameters.
 
-    Only family custom takes a cell list and an anchor; every other family
-    fixes both, so passing either raises ValueError.
+    Only family custom takes a cell list, anchored at its least cell; every
+    other family fixes its cells, so passing a list raises ValueError.
     """
     key = str(family).lower()
     ps = tuple(int(p) for p in params)
@@ -204,11 +203,9 @@ def make_shape(family: str, params: Iterable[int] = (),
     if key == "custom":
         if not custom_cells:
             raise ValueError("family custom requires a cell list")
-        return custom(custom_cells, anchor)
+        return custom(custom_cells)
     if custom_cells is not None:
         raise ValueError(f"family {family!r} takes no custom cells; only family custom does")
-    if anchor is not None:
-        raise ValueError(f"family {family!r} takes no anchor; only family custom does")
     return _BY_KEY[key][0](*ps)
 
 

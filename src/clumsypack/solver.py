@@ -10,22 +10,19 @@ from an allowed set dominate a set of undominated placements, or exactly
 ``need`` when asked.  It evaluates every node, its entry included, with one
 walk of the packing of what is undominated: placements taken lowest first,
 no two sharing a neighbour, each of which needs a pick of its own.  With
-more members than picks left the node is dead.  With one pick left, the
-pick is bit-parallel: the lowest allowed placement that dominates
-everything left.  With as many members as picks left, each pick dominates
+more members than picks left the node is dead.  Below the entry, with as
+many members as picks left, the node is narrowed: each pick dominates
 exactly one member.  An undominated placement that shares no dominator with
 any other member is private to its member: only that member's pick can
 dominate it.  So a member's candidates are its allowed dominators that
 dominate all its private placements too, tested bit-parallel.  A member
 left with none kills the node; otherwise the picks narrow to the union of
-these sets and the branch is on the member with the fewest.  (At the entry,
-the picks narrow to the members' neighbourhoods and the branch is on the
-member with the fewest allowed dominators.)  Otherwise the branch is on the
-undominated placement with the fewest, scanned lowest first; the scan lists
-the undominated placements from the mask's binary string in C
-(``_indices``).  A refuted
-candidate is forbidden to its later siblings, and the loop runs on an
-explicit stack, so no depth meets Python's recursion limit.
+these sets and the branch is on the member with the fewest.  Otherwise,
+the entry included, the branch is on the undominated placement with the
+fewest allowed dominators, scanned lowest first; the scan lists the
+undominated placements from the mask's binary string in C (``_indices``).
+A refuted candidate is forbidden to its later siblings, and the loop runs
+on an explicit stack, so no depth meets Python's recursion limit.
 
 The refuter calls the loop on the whole graph for k = start, start + 1,
 ...  One call at k refutes every size up to k, so the first k that succeeds
@@ -43,12 +40,10 @@ candidate above the last pick, at position 0 an orbit minimum, that the
 loop can complete with exactly the picks still needed, all above it
 (``_lex_first``).  ``first_maximal_arrangement`` uses it at any size.
 
-A node is one candidate tested, in either phase, plus, at each bit-parallel
-last pick, the branch set's candidates up to the hit, or all of them when
-there is none, and, at each narrowed node, the candidates its private
-placements reject: the branch member's, or all of those of the member that
-kills the node.  The node and time budgets are checked as nodes are counted,
-so they hold in both phases.
+A node is one candidate tested, in either phase, plus, at each narrowed
+node, the candidates its private placements reject: the branch member's, or
+all of those of the member that kills the node.  The node and time budgets
+are checked as nodes are counted, so they hold in both phases.
 
 A second, deliberately naive oracle recomputes small instances straight from
 the definition so the two routes can be compared in tests.
@@ -243,15 +238,14 @@ def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed
     one walk of the packing of its undominated placements; the module
     docstring says what the walk decides.  Each candidate tried is one node.
     The entry is not: it is the caller's candidate, or the refuter's root.
-    The bit-parallel last pick counts the branch set's candidates up to the
-    hit, or all of them when there is none.  At a narrowed node, each
-    candidate that a member's private placements reject counts as a node:
-    the branch member's rejected ones, or every candidate of the first
-    member left with none.  The entry takes neither rule, so that with
-    ``orbits`` its candidates are tried one at a time: the entry is then the
-    refuter's root, whose placement set the symmetry group maps onto
-    itself, and each candidate tried forbids its whole orbit to the later
-    ones, though its own subtree keeps the other members.
+    At a narrowed node, each candidate that a member's private placements
+    reject counts as a node: the branch member's rejected ones, or every
+    candidate of the first member left with none.  The entry is never
+    narrowed, so that with ``orbits`` its candidates are tried one at a
+    time: the entry is then the refuter's root, whose placement set the
+    symmetry group maps onto itself, and each candidate tried forbids its
+    whole orbit to the later ones, though its own subtree keeps the other
+    members.
     """
     nbr, notnbr, notfar = graph
     nodes, stop = budget.nodes, budget.stop
@@ -286,27 +280,9 @@ def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed
                 j += 1
                 if not r or j == left:
                     break
-            if r:
-                pass  # each of left + 1 members needs a pick of its own
-            elif left == 1 and d >= 0:
-                # The pick must dominate ws[0], the lowest undominated
-                # placement, and every other one.
-                branch = a2 & nbr[ws[0]]
-                hits = branch
-                rest = u2 & (u2 - 1)
-                while hits and rest:
-                    low = rest & -rest
-                    hits &= nbr[low.bit_length() - 1]
-                    rest ^= low
-                hit = hits & -hits
-                # With no hit, 2 * hit - 1 = -1 keeps the whole branch set.
-                nodes += (branch & (2 * hit - 1)).bit_count()
-                if nodes >= stop:
-                    stop = budget.spend(nodes - budget.nodes)
-                if hit:
-                    budget.nodes = nodes
-                    return (*picks[:d + 1], hit.bit_length() - 1), before
-            else:
+            # With r left, each of left + 1 members needs a pick of its own
+            # and the node is dead.
+            if not r:
                 best, fewest = 0, a2.bit_count() + 1
                 if j == left and d >= 0:
                     # Each pick dominates exactly one member.  rs[t] & after
@@ -342,19 +318,9 @@ def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed
                         stop = budget.spend(nodes - budget.nodes)
                     a2 = cover
                 else:
-                    if j == left:
-                        # At the entry: each pick dominates exactly one
-                        # member.
-                        scan = ws[:left]
-                        cover = 0
-                        for w in scan:
-                            cover |= nbr[w]
-                        a2 &= cover
-                    else:
-                        scan = _indices(u2)
-                    # Branch on the placement in scan with the fewest
+                    # Branch on the undominated placement with the fewest
                     # allowed dominators, stopping at MRV_EARLY_EXIT.
-                    for u in scan:
+                    for u in _indices(u2):
                         b = nbr[u] & a2
                         count = b.bit_count()
                         if count < fewest:

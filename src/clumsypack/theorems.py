@@ -18,7 +18,7 @@ from enum import Enum, unique
 from typing import Callable
 
 from .geometry import Cell, Shape, custom, ell, plus, rect, straight_v, tee
-from .packing import Arrangement, Board, Placement, _tables, _verdict
+from .packing import Arrangement, Board, Placement, _check_mode, _tables, _verdict
 from .solver import clumsy_number, first_maximal_arrangement
 
 
@@ -329,6 +329,7 @@ def route(family: str, mode: str, params: tuple[int, ...]
           ) -> tuple[TheoremId, tuple[int, ...]] | None:
     """The theorem (and its parameters) covering a family/mode instance,
     or None when no entry applies."""
+    _check_mode(mode)
     f = str(family).lower()
     ps = tuple(int(p) for p in params)
     if f in ("straight-v", "straight-h"):

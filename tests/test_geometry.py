@@ -138,16 +138,11 @@ class TestMakeShape:
                            match="family 'custom' takes no parameters, got 2"):
             make_shape("custom", (7, 9), custom_cells=cells)
 
-    def test_named_family_rejects_cells_and_anchor(self):
-        # Both used to be dropped silently, giving the standard shape.
+    def test_named_family_rejects_custom_cells(self):
+        # Dropping the list silently would give the standard shape.
         with pytest.raises(ValueError,
                            match="family 'L' takes no custom cells; only family custom does"):
             make_shape("L", (1, 2), custom_cells=[Cell(1, 1), Cell(2, 1)])
-        with pytest.raises(ValueError,
-                           match="family 'L' takes no anchor; only family custom does"):
-            make_shape("L", (1, 2), anchor=Cell(2, 2))
-        with pytest.raises(ValueError, match="takes no anchor"):
-            make_shape("rect", (2, 2), anchor=Cell(1, 1))
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):

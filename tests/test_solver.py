@@ -105,10 +105,10 @@ class TestLowerBound:
 # k = 1, where the refuter's root tries its candidates one at a time and
 # forbids each refuted candidate's orbit.
 NODE_COUNTS = [
-    (ell(9, 9), 19, "free", 2, 445),
-    (ell(3, 6), 10, "free", 3, 993),
-    (tee(1, 1), 7, "free", 6, 6215),
-    (ell(1, 3), 8, "free", 6, 26871),
+    (ell(9, 9), 19, "free", 2, 483),
+    (ell(3, 6), 10, "free", 3, 970),
+    (tee(1, 1), 7, "free", 6, 6243),
+    (ell(1, 3), 8, "free", 6, 26924),
     (rect(2, 2), 9, "fixed", 9, 82),
 ]
 

@@ -292,6 +292,12 @@ class TestRoute:
     def test_table(self, family, mode, ps, want):
         assert route(family, mode, ps) == want
 
+    @pytest.mark.parametrize("mode", ["Fixed", "FREE", "", "translations"])
+    def test_unknown_mode_is_refused(self, mode):
+        # A misspelt mode must not be routed as free mode.
+        with pytest.raises(ValueError, match=f"mode must be one of .*, got {mode!r}"):
+            route("L", mode, (1, 2))
+
     @pytest.mark.parametrize("mode", ["fixed", "free"])
     @pytest.mark.parametrize("family,arity", [
         ("straight-v", 1), ("straight-h", 1), ("rect", 2), ("L", 2), ("T", 2),
