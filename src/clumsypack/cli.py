@@ -21,8 +21,8 @@ from .render import InvalidArrangementError, render_ascii, render_svg
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceededError,
                      OracleGuardError, _check_budget, clumsy_number,
                      oracle_clumsy_number)
-from .theorems import (TheoremId, check_theorem, formula_value, instance_of,
-                       route, ConstructionError, HypothesisError)
+from .theorems import (TheoremId, _bracket, check_theorem, formula_value,
+                       instance_of, route, ConstructionError, HypothesisError)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -188,9 +188,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return f"{value[0]}..{value[1]}"
-    return str(value)
+    lo, hi = _bracket(value)
+    return str(lo) if lo == hi else f"{lo}..{hi}"
 
 
 def _instance_label(family: str, params: Iterable[int], mode: str) -> str:
@@ -200,11 +199,8 @@ def _instance_label(family: str, params: Iterable[int], mode: str) -> str:
 def cmd_table(args: argparse.Namespace) -> int:
     ranges = [_parse_range(part) for part in args.params.split(",")]
     check_family(args.family, len(ranges))
-    grid = [()]
-    for r in ranges:
-        grid = [g + (v,) for g in grid for v in r]
     failed = False
-    for params in grid:
+    for params in itertools.product(*ranges):
         label = _instance_label(args.family, params, args.mode)
         routed = route(args.family, args.mode, params)
         if routed is None:
@@ -309,7 +305,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             print(f"{label}: cp = {cp}, no claim -> inconclusive")
             counts["inconclusive"] += 1
             continue
-        lo, hi = claim if isinstance(claim, tuple) else (claim, claim)
+        lo, hi = _bracket(claim)
         verdict = "supports" if lo <= cp <= hi else "refutes"
         # cp is 0 only when no piece fits, so a refuted claim <= 0 tests the
         # formula's range, not the paper's value.

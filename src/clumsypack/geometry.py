@@ -9,6 +9,7 @@ board are expressed through placements, never through denormalized cell sets.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -195,10 +196,11 @@ def make_shape(family: str, params: Iterable[int] = (),
     """Build a shape from a family name and its integer parameters.
 
     Only family custom takes a cell list, anchored at its least cell; every
-    other family fixes its cells, so passing a list raises ValueError.
+    other family fixes its cells, so passing a list raises ValueError.  A
+    parameter that is no integer (2.5, "2") raises TypeError.
     """
     key = str(family).lower()
-    ps = tuple(int(p) for p in params)
+    ps = tuple(operator.index(p) for p in params)
     check_family(family, len(ps))
     if key == "custom":
         if not custom_cells:
@@ -213,9 +215,10 @@ def rotate(shape: Shape, m: int) -> Shape:
     """Rotate a shape m quarter turns clockwise and renormalize.
 
     The anchor travels with its cell.  Family metadata is kept so a rotated
-    piece still reports what it was built from.
+    piece still reports what it was built from.  An m that is no integer
+    raises TypeError.
     """
-    m %= 4
+    m = operator.index(m) % 4
     if m == 0:
         return shape
     moved = [_rotate_cell(c, m) for c in shape.cells]

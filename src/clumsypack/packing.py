@@ -17,6 +17,7 @@ from one such pass.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -39,7 +40,7 @@ class Board:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        if operator.index(self.n) < 1:
             raise ValueError(f"board size must be positive, got {self.n}")
 
     def __contains__(self, cell: Cell) -> bool:
@@ -62,10 +63,11 @@ class Placement:
 
     def __post_init__(self) -> None:
         # Only values that need it are rewritten: a bool or out-of-range
-        # rotation becomes an int in 0..3, any other anchor a Cell.
+        # rotation becomes an int in 0..3, any other anchor a Cell.  A
+        # rotation that is no integer (1.5) raises TypeError.
         m = self.rotation
         if type(m) is not int or not 0 <= m <= 3:
-            object.__setattr__(self, "rotation", m % 4)
+            object.__setattr__(self, "rotation", operator.index(m) % 4)
         if type(self.anchor_pos) is not Cell:
             object.__setattr__(self, "anchor_pos", Cell(*self.anchor_pos))
 
@@ -131,7 +133,8 @@ def _occupancy(arrangement: Arrangement) -> tuple[str | None, int]:
     """
     n = arrangement.board.n
     fixed = arrangement.mode == "fixed"
-    orientations: dict[int, tuple[int, int, int, int, int]] = {}
+    # Read once per pass: each lookup in the cache hashes the shape.
+    orientations = [_orientation(arrangement.shape, m, n) for m in range(1 if fixed else 4)]
     masks = []
     occ = 0
     overlap = False
@@ -139,10 +142,7 @@ def _occupancy(arrangement: Arrangement) -> tuple[str | None, int]:
         m = p.rotation
         if fixed and m:
             return f"placement {idx} uses rotation {m} but mode is fixed", 0
-        o = orientations.get(m)
-        if o is None:
-            o = orientations[m] = _orientation(arrangement.shape, m, n)
-        ac, ar, width, height, corner = o
+        ac, ar, width, height, corner = orientations[m]
         dc = p.anchor_pos.col - ac
         dr = p.anchor_pos.row - ar
         if not (0 <= dc <= n - width and 0 <= dr <= n - height):

@@ -38,7 +38,8 @@ The witness phase builds the lexicographically first witness (by placement
 index) of size cp one position at a time.  Each position keeps the lowest
 candidate above the last pick, at position 0 an orbit minimum, that the
 loop can complete with exactly the picks still needed, all above it
-(``_lex_first``).  ``first_maximal_arrangement`` uses it at any size.
+(``_lex_first``); the pass that builds the orbit masks (``_orbits``)
+yields the minima.  ``first_maximal_arrangement`` uses it at any size.
 
 A node is one candidate tested, in either phase, plus, at each narrowed
 node, the candidates its private placements reject: the branch member's, or
@@ -366,12 +367,12 @@ def _lex_first(graph: tuple[list[int], list[int], list[int]], firsts: int, allow
     extend by exactly the picks still needed, all above it.  Each candidate
     is one node.  ``found`` is a known set of this size; the least member of
     the completion in hand passes without a search when it is the next
-    candidate.
+    candidate.  Size 0 succeeds only when nothing is left to dominate.
     """
-    if size <= 0:
-        return None
     notnbr = graph[1]
     undom = (1 << len(notnbr)) - 1
+    if size <= 0:
+        return None if size or undom else []
     c = firsts & allowed
     picks = []
     # The completion in hand, least member last.
@@ -455,32 +456,28 @@ def _symmetry_group(shape: Shape, board: Board, mode: str) -> list[list[int]]:
     return list(maps.values())
 
 
-def _orbits(group: list[list[int]]) -> list[int]:
-    """Mask of each placement's orbit under the group."""
+def _orbits(group: list[list[int]]) -> tuple[list[int], int]:
+    """Mask of each placement's orbit under the group, and the mask of the
+    placements that are the least of their orbit.
+
+    Placements are visited in index order, so the one that opens an orbit
+    is its least member.  The lex-first maximal arrangement of any size
+    opens at one of these minima.  Suppose it opened at f with g(f) < f for
+    some symmetry g.  Then g maps it to another maximal arrangement of the
+    same size whose least index is at most g(f) < f, so it comes
+    lex-before: a contradiction.
+    """
     orbit = [0] * len(group[0])
+    firsts = 0
     for i, m in enumerate(orbit):
         if not m:
+            firsts |= 1 << i
             members = {g[i] for g in group}
             for j in members:
                 m |= 1 << j
             for j in members:
                 orbit[j] = m
-    return orbit
-
-
-def _orbit_minima(orbits: list[int]) -> int:
-    """Mask of the placements that are the least of their orbit.
-
-    The lex-first maximal arrangement of any size opens at one of them.
-    Suppose it opened at f with g(f) < f for some symmetry g.  Then g maps
-    it to another maximal arrangement of the same size whose least index is
-    at most g(f) < f, so it comes lex-before: a contradiction.
-    """
-    firsts = 0
-    for i, o in enumerate(orbits):
-        if o & -o == 1 << i:
-            firsts |= 1 << i
-    return firsts
+    return orbit, firsts
 
 
 def greedy_upper_bound(shape: Shape, board: Board | None = None,
@@ -509,11 +506,12 @@ def greedy_upper_bound(shape: Shape, board: Board | None = None,
 
 
 def _setup(shape: Shape, board: Board, mode: str
-           ) -> tuple[int, tuple[list[int], list[int], list[int]], list[int]]:
-    """The placement count of an instance, its search graph and its orbit
-    masks."""
-    _, masks, cells = _tables(shape, board, mode)
-    return len(masks), _conflict_graph(cells), _orbits(_symmetry_group(shape, board, mode))
+           ) -> tuple[int, tuple[list[int], list[int], list[int]], list[int], int]:
+    """The mask of all placements of an instance, its search graph, its
+    orbit masks and its orbit minima."""
+    cells = _tables(shape, board, mode)[2]
+    return ((1 << len(cells)) - 1, _conflict_graph(cells),
+            *_orbits(_symmetry_group(shape, board, mode)))
 
 
 def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
@@ -528,10 +526,9 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
     if board is None:
         board = default_board(shape)
     start = time.monotonic()
-    count, graph, orbits = _setup(shape, board, mode)
+    full, graph, orbits, firsts = _setup(shape, board, mode)
     greedy = greedy_upper_bound(shape, board, mode)
     upper = greedy.size
-    full = (1 << count) - 1
     k = _packing_bound(graph[2], full)
     budget = _Budget(node_budget, time_budget)
     # Every size below k is refuted (the packing bound refutes those below
@@ -553,7 +550,7 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
             # hence the lex-first witness.
             return SolveResult(k, greedy, budget.nodes, time.monotonic() - start)
         found, allowed = hit
-        got = _lex_first(graph, _orbit_minima(orbits), allowed, k, budget, found)
+        got = _lex_first(graph, firsts, allowed, k, budget, found)
     except _BudgetSignal:
         raise BudgetExceededError(k, upper, budget.nodes) from None
     witness = Arrangement(board, shape, mode, _placements_at(shape, board, mode, got))
@@ -573,12 +570,10 @@ def first_maximal_arrangement(shape: Shape, board: Board | None = None,
         board = default_board(shape)
     if size is None:
         return clumsy_number(shape, board, mode, node_budget=node_budget).witness
-    count, graph, orbits = _setup(shape, board, mode)
-    if not count:
-        return Arrangement(board, shape, mode, ()) if size == 0 else None
+    full, graph, _, firsts = _setup(shape, board, mode)
     budget = _Budget(node_budget, None)
     try:
-        got = _lex_first(graph, _orbit_minima(orbits), (1 << count) - 1, size, budget)
+        got = _lex_first(graph, firsts, full, size, budget)
     except _BudgetSignal:
         raise BudgetExceededError(0, None, budget.nodes) from None
     if got is None:

@@ -13,6 +13,7 @@ witness recipe, and the solver may refute it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Callable
@@ -230,7 +231,7 @@ CLAIMS: dict[TheoremId, Claim] = {
 def _check_params(theorem: TheoremId, params: tuple[int, ...]
                   ) -> tuple[Claim, tuple[int, ...]]:
     claim = CLAIMS[theorem]
-    ps = tuple(int(p) for p in params)
+    ps = tuple(operator.index(p) for p in params)
     if len(ps) != len(claim.params):
         raise HypothesisError(
             f"{theorem.value} takes parameters ({', '.join(claim.params)}), got {len(ps)}")
@@ -263,10 +264,20 @@ def build_construction(theorem: TheoremId, *params: int) -> Arrangement:
     recipe's own side conditions fail.
     """
     claim, ps = _check_params(theorem, params)
+    shape, side = claim.instance(*ps)
+    return _construct(claim, ps, shape, Board(side))
+
+
+def _construct(claim: Claim, ps: tuple[int, ...], shape: Shape, board: Board) -> Arrangement:
+    """The claim's recipe placed on its instance (shape, board)."""
     if claim.construction is None:
         raise ConstructionError("the conjectured formula has no witness recipe")
-    shape, side = claim.instance(*ps)
-    return Arrangement(Board(side), shape, claim.mode, claim.construction(side, *ps))
+    return Arrangement(board, shape, claim.mode, claim.construction(board.n, *ps))
+
+
+def _bracket(value: int | tuple[int, int]) -> tuple[int, int]:
+    """A claimed value as a (lower, upper) bracket."""
+    return value if isinstance(value, tuple) else (value, value)
 
 
 # Above this many placements check_theorem leaves the solver leg out.
@@ -294,33 +305,22 @@ def check_theorem(theorem: TheoremId, params: tuple[int, ...],
     claimed size (the upper bound, for bracket entries).  The solver leg is
     skipped on instances with more placements than SOLVER_PLACEMENT_LIMIT.
     """
-    claim, ps = CLAIMS[theorem], tuple(int(p) for p in params)
+    claim, ps = _check_params(theorem, params)
+    shape, side = claim.instance(*ps)
+    board = Board(side)
+    value = claim.value(*ps)
+    lo, hi = _bracket(value)
     try:
-        # The one check of the parameters against the claim: a
-        # HypothesisError ends the cross-check here.
-        construction: Arrangement | None = build_construction(theorem, *ps)
+        construction: Arrangement | None = _construct(claim, ps, shape, board)
     except ConstructionError:
         construction = None
-    value = claim.value(*ps)
-    construction_ok: bool | None = None
-    if construction is not None:
-        target = value[1] if isinstance(value, tuple) else value
-        construction_ok = _verdict(construction)[1] and construction.size == target
+    construction_ok = None if construction is None else (
+        _verdict(construction)[1] and construction.size == hi)
     solver_value: int | None = None
-    if with_solver:
-        if construction is None:
-            shape, side = claim.instance(*ps)
-            board = Board(side)
-        else:
-            shape, board = construction.shape, construction.board
-        if len(_tables(shape, board, claim.mode)[1]) <= SOLVER_PLACEMENT_LIMIT:
-            solver_value = clumsy_number(shape, board, claim.mode).clumsy_number
-    consistent = construction_ok is not False
-    if solver_value is not None:
-        if isinstance(value, tuple):
-            consistent = consistent and value[0] <= solver_value <= value[1]
-        else:
-            consistent = consistent and solver_value == value
+    if with_solver and len(_tables(shape, board, claim.mode)[1]) <= SOLVER_PLACEMENT_LIMIT:
+        solver_value = clumsy_number(shape, board, claim.mode).clumsy_number
+    consistent = construction_ok is not False and (
+        solver_value is None or lo <= solver_value <= hi)
     return TheoremReport(theorem, ps, value, construction, construction_ok,
                          solver_value, consistent)
 
@@ -331,7 +331,7 @@ def route(family: str, mode: str, params: tuple[int, ...]
     or None when no entry applies."""
     _check_mode(mode)
     f = str(family).lower()
-    ps = tuple(int(p) for p in params)
+    ps = tuple(operator.index(p) for p in params)
     if f in ("straight-v", "straight-h"):
         t = TheoremId.STRAIGHT_FIXED if mode == "fixed" else TheoremId.STRAIGHT_FREE
         return t, ps

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from clumsypack import cli, packing
+from clumsypack import cli, packing, solver, theorems
 from clumsypack.files import dumps, from_arrangement, load_arrangement, save_arrangement
 from clumsypack.geometry import Cell, plus
 from clumsypack.packing import Arrangement, Board, Placement
@@ -260,6 +260,11 @@ class TestScan:
         assert "budget exhausted" in out
         assert out.splitlines()[-1].endswith("inconclusive: 4")
 
+    def test_row_without_a_claim_is_inconclusive(self, run_cli):
+        assert run_cli(["scan", "T-gen", "--limit", "4"]) == (
+            0, "gen-T(1,1,1) free: cp = 2, no claim -> inconclusive\n"
+               "supports: 0, refutes: 0, inconclusive: 1\n", "")
+
     def test_unknown_id(self, run_cli):
         # rejected by the argument parser itself
         code, _, err = run_cli(["scan", "bogus"])
@@ -334,6 +339,29 @@ class TestUsageErrors:
                                   "--custom-cells", "1,1;2,1;1,1"])
         assert (code, out) == (2, "")
         assert err == "error: cell list repeats cell (1, 1)\n"
+
+    @pytest.mark.parametrize("argv,err", [
+        (["solve", "--family", "custom", "--custom-cells", "1,1;2"],
+         "error: cells must look like 'col,row;col,row;...', got '1,1;2'\n"),
+        (["solve", "--family", "custom", "--custom-cells", "a,1"],
+         "error: cell coordinates must be integers, got 'a,1'\n"),
+        (["solve", "--family", "custom", "--custom-cells", ";"], "error: empty cell list\n"),
+        (["table", "--family", "L", "--mode", "free", "--params", "x,1"],
+         "error: range must be 'N' or 'N..M', got 'x'\n"),
+        (["table", "--family", "L", "--mode", "free", "--params", "3..1,1"],
+         "error: empty range '3..1'\n"),
+    ])
+    def test_malformed_cells_or_range(self, run_cli, argv, err):
+        assert run_cli(argv) == (2, "", err)
+
+    def test_budget_stop_inside_a_check_is_exit_3(self, run_cli, monkeypatch):
+        # table --check solves with the default budget; a small one stops it.
+        monkeypatch.setattr(theorems, "clumsy_number",
+                            lambda *args: solver.clumsy_number(*args, node_budget=10))
+        assert run_cli(["table", "--family", "T", "--mode", "free", "--params", "1,1",
+                        "--check"]) == (
+            3, "", "error: search budget exhausted after 11 nodes; "
+                   "clumsy number is in [2, 3]\n")
 
     def test_hypothesis_violation_noted_per_row(self, run_cli):
         # a bad row must not abort the rest of a table sweep

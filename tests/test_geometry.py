@@ -154,6 +154,13 @@ class TestMakeShape:
         with pytest.raises(ValueError, match="parameter"):
             make_shape("plus", (1, 2))
 
+    # Truncating or parsing them would build another shape: L(1.5, 2) as L(1, 2).
+    @pytest.mark.parametrize("family,params", [("L", (1.5, 2)), ("rect", ("2", "3")),
+                                               ("plus", (2.0,))])
+    def test_parameters_must_be_integers(self, family, params):
+        with pytest.raises(TypeError):
+            make_shape(family, params)
+
 
 class TestRotation:
     # Anchor positions of the rotated L: the corner cell ends up at the
@@ -182,6 +189,12 @@ class TestRotation:
         for s in (ell(1, 3), tee(2, 2), rect(2, 3), gen_tee(1, 2, 2)):
             assert rotate(s, 4) == s
             assert rotate(rotate(s, 1), 3) == s
+
+    @pytest.mark.parametrize("m", [1.5, 3.0])
+    def test_turn_count_must_be_an_integer(self, m):
+        # 1.5 must not pass as some whole number of turns.
+        with pytest.raises(TypeError):
+            rotate(ell(1, 2), m)
 
     def test_plus_is_rotation_invariant(self):
         s = plus(2)

@@ -23,6 +23,12 @@ class TestBoard:
         with pytest.raises(ValueError):
             Board(0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0])
+    def test_side_must_be_an_integer(self, n):
+        # Refused here, not deep inside the first solve on the board.
+        with pytest.raises(TypeError):
+            Board(n)
+
     def test_default_board_matches_shape_size(self):
         assert default_board(ell(3, 6)).n == 10
         assert default_board(plus(2)).n == 9
@@ -35,6 +41,12 @@ class TestPlacement:
         assert Placement(-1, Cell(1, 1)).rotation == 3
         assert type(Placement(True, Cell(1, 1)).rotation) is int
         assert type(Placement(0, (1, 1)).anchor_pos) is Cell
+
+    @pytest.mark.parametrize("rotation", [1.5, 2.0])
+    def test_rotation_must_be_an_integer(self, rotation):
+        # No turn count is 1.5; it must not pass validate or be drawn as 3.
+        with pytest.raises(TypeError):
+            Placement(rotation, Cell(2, 2))
 
 
 class TestCellsOf:

@@ -6,14 +6,14 @@ import pytest
 from clumsypack.geometry import Cell, ell, plus, rect, straight_h, straight_v, tee
 from clumsypack.packing import Arrangement, Board, Placement, is_maximal, is_valid
 from clumsypack.solver import (BudgetExceededError, OracleGuardError, _Budget,
-                               _BudgetSignal, _orbit_minima, _orbits, _symmetry_group,
+                               _BudgetSignal, _orbits, _symmetry_group,
                                clumsy_number, first_maximal_arrangement,
                                greedy_upper_bound, oracle_clumsy_number)
 
 
 def first_picks(shape, board, mode):
     """Indices the lex-first witness may open at: the orbit minima."""
-    firsts = _orbit_minima(_orbits(_symmetry_group(shape, board, mode)))
+    firsts = _orbits(_symmetry_group(shape, board, mode))[1]
     return tuple(i for i in range(firsts.bit_length()) if firsts >> i & 1)
 
 
@@ -274,6 +274,17 @@ class TestFirstMaximal:
         assert arr is not None and arr.size == 1089
         assert is_valid(arr) and is_maximal(arr)
 
+    def test_board_too_small_for_any_piece(self):
+        # With no placement, only the empty arrangement is maximal.
+        arr = first_maximal_arrangement(ell(3, 6), Board(3), "free", 0)
+        assert arr == Arrangement(Board(3), ell(3, 6), "free", ())
+        assert first_maximal_arrangement(ell(3, 6), Board(3), "free", 1) is None
+
+    def test_budget_stop_proves_no_bracket(self):
+        with pytest.raises(BudgetExceededError) as info:
+            first_maximal_arrangement(tee(1, 1), Board(7), "free", 7, node_budget=5)
+        assert (info.value.nodes, info.value.lower, info.value.upper) == (6, 0, None)
+
     @pytest.mark.parametrize("size", [0, -1])
     def test_nonpositive_size_is_none_at_once(self, size):
         # placements exist, so no arrangement of this size is maximal; a
@@ -324,7 +335,10 @@ class TestSymmetry:
     def test_orbit_masks_are_closed_under_the_group(self, shape, n, mode):
         group = _symmetry_group(shape, Board(n), mode)
         assert group[0] == list(range(len(group[0])))
-        for orbit in _orbits(group):
+        orbits, firsts = _orbits(group)
+        # The minima are the least member of each orbit.
+        assert firsts == sum({orbit & -orbit for orbit in orbits})
+        for orbit in orbits:
             for g in group:
                 moved = 0
                 for i in range(orbit.bit_length()):

@@ -109,6 +109,17 @@ class TestHypotheses:
     def test_hypothesis_error_is_value_error(self):
         assert issubclass(HypothesisError, ValueError)
 
+    # Truncating them would report another instance: RECT_FIXED (2.7, 3) as (2, 3).
+    @pytest.mark.parametrize("check", [
+        lambda: formula_value(T.RECT_FIXED, 2.7, 3),
+        lambda: instance_of(T.PLUS_ANY, (1.0,)),
+        lambda: build_construction(T.RECT_FIXED, 2, "3"),
+        lambda: check_theorem(T.RECT_FIXED, (2.0, 3)),
+    ], ids=["formula_value", "instance_of", "build_construction", "check_theorem"])
+    def test_parameters_must_be_integers(self, check):
+        with pytest.raises(TypeError):
+            check()
+
 
 class TestInstanceOf:
     def test_rect(self):
@@ -291,6 +302,13 @@ class TestRoute:
     ])
     def test_table(self, family, mode, ps, want):
         assert route(family, mode, ps) == want
+
+    # Truncating them would route another instance: L free (1.9, 2) as L(1, 2).
+    @pytest.mark.parametrize("family,ps", [("L", (1.9, 2)), ("rect", (2, 3.0)),
+                                           ("straight-v", ("4",))])
+    def test_parameters_must_be_integers(self, family, ps):
+        with pytest.raises(TypeError):
+            route(family, "free", ps)
 
     @pytest.mark.parametrize("mode", ["Fixed", "FREE", "", "translations"])
     def test_unknown_mode_is_refused(self, mode):
