@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import os
 import sys
 from typing import Iterable, Sequence
 
@@ -28,6 +29,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+# 128 + SIGPIPE, the status of a process the signal killed.
+EXIT_PIPE = 141
 
 
 def _parse_params(text: str) -> tuple[int, ...]:
@@ -341,10 +344,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # Written out here, so that a reader gone away is caught below.
+        sys.stdout.flush()
+        return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # The reader of stdout has gone away: stop quietly, as a process
+        # killed by SIGPIPE would.
+        if sys.stdout is sys.__stdout__:
+            # The interpreter flushes stdout once more on its way out.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_PIPE
     except (FileFormatError, HypothesisError, ConstructionError,
             OracleGuardError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,16 +19,6 @@ class Cell(NamedTuple):
     row: int
 
 
-def _rotate_cell(cell: Cell, m: int) -> Cell:
-    """Rotate a cell m = 1, 2 or 3 quarter turns clockwise about the grid origin."""
-    i, j = cell
-    if m == 1:
-        return Cell(-j, i)
-    if m == 2:
-        return Cell(-i, -j)
-    return Cell(j, -i)
-
-
 def _norm_shift(cells: Iterable[Cell]) -> tuple[int, int]:
     cs = list(cells)
     if not cs:
@@ -211,6 +201,29 @@ def make_shape(family: str, params: Iterable[int] = (),
     return _BY_KEY[key][0](*ps)
 
 
+def _turn(shape: Shape, m: int
+          ) -> tuple[Iterable[tuple[int, int]], tuple[int, int], int, int]:
+    """The cells, anchor, width and height of the shape turned m = 0..3
+    quarter turns clockwise and renormalized, as plain (col, row) pairs.
+
+    A quarter turn sends (col, row) to (-row, col), and renormalizing a
+    normalized shape of height h then adds h + 1 to the column; two and
+    three turns repeat this.
+    """
+    w, h = shape.width, shape.height
+    if m == 0:
+        return shape.cells, shape.anchor, w, h
+    if m == 1:
+        turned = [(h + 1 - r, c) for c, r in (shape.anchor, *shape.cells)]
+    elif m == 2:
+        turned = [(w + 1 - c, h + 1 - r) for c, r in (shape.anchor, *shape.cells)]
+    else:
+        turned = [(r, w + 1 - c) for c, r in (shape.anchor, *shape.cells)]
+    if m != 2:
+        w, h = h, w
+    return turned[1:], turned[0], w, h
+
+
 def rotate(shape: Shape, m: int) -> Shape:
     """Rotate a shape m quarter turns clockwise and renormalize.
 
@@ -221,8 +234,6 @@ def rotate(shape: Shape, m: int) -> Shape:
     m = operator.index(m) % 4
     if m == 0:
         return shape
-    moved = [_rotate_cell(c, m) for c in shape.cells]
-    dc, dr = _norm_shift(moved)
-    cells = frozenset(Cell(c.col + dc, c.row + dr) for c in moved)
-    a = _rotate_cell(shape.anchor, m)
-    return Shape(cells, Cell(a.col + dc, a.row + dr), shape.family, shape.params)
+    cells, anchor, _, _ = _turn(shape, m)
+    return Shape(frozenset(cells), anchor, shape.family, shape.params)
+

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .geometry import Cell, Shape, rotate
+from .geometry import Cell, Shape, _turn, rotate
 
 MODES = ("fixed", "free")
 
@@ -114,11 +114,11 @@ def _orientation(shape: Shape, m: int, n: int) -> tuple[int, int, int, int, int]
     with its anchor on (col, row) covers corner << ((row - ar) * n + (col -
     ac)).  The mask means nothing when the piece is wider than the board.
     """
-    rot = rotate(shape, m)
+    cells, (ac, ar), width, height = _turn(shape, m)
     corner = 0
-    for c in rot.cells:
-        corner |= 1 << ((c.row - 1) * n + (c.col - 1))
-    return rot.anchor.col, rot.anchor.row, rot.width, rot.height, corner
+    for col, row in cells:
+        corner |= 1 << ((row - 1) * n + col - 1)
+    return ac, ar, width, height, corner
 
 
 def _occupancy(arrangement: Arrangement) -> tuple[str | None, int]:

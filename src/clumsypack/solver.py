@@ -53,6 +53,7 @@ the definition so the two routes can be compared in tests.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -142,7 +143,7 @@ class _BudgetSignal(Exception):
 
 
 def _check_budget(node_budget: int, time_budget: float | None = None) -> None:
-    if node_budget < 0:
+    if operator.index(node_budget) < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
     # A NaN deadline compares False with every clock reading, so it would
     # never fire; inf is no limit.
@@ -161,33 +162,28 @@ def _conflict_graph(cells: tuple[tuple[int, ...], ...]
     nbr[i] holds the placements whose cells meet placement i; every
     placement conflicts with itself, so bit i of nbr[i] is set.  far[i] =
     OR(nbr[j] for j in nbr[i]) holds every placement that some single pick
-    dominates together with i.  notnbr and notfar are the complements.  nbr
-    and far come from on[c], the placements on cell c, and its mask
-    cover[c], so the cost grows with the total cell count, not with the
-    number of placement pairs.  All three per-cell tables are lists indexed
-    by cell bit.
+    dominates together with i.  notnbr and notfar are the complements.
+    nbr and far come from two lists indexed by cell bit: cover[c], the mask
+    of the placements on cell c, and reach[c], the OR of their nbr rows,
+    which the pass that builds each nbr row ORs it into.  So the cost grows
+    with the total cell count, not with the number of placement pairs.
     """
     size = max((cs[-1] for cs in cells), default=-1) + 1
-    on: list[list[int]] = [[] for _ in range(size)]
     cover = [0] * size
     for i, cs in enumerate(cells):
         bit = 1 << i
         for c in cs:
-            on[c].append(i)
             cover[c] |= bit
+    # reach[c]: the placements that meet some placement on cell c.
+    reach = [0] * size
     nbr = []
     for cs in cells:
         m = 0
         for c in cs:
             m |= cover[c]
         nbr.append(m)
-    # reach[c]: the placements that meet some placement on cell c.
-    reach = [0] * size
-    for c, ids in enumerate(on):
-        m = 0
-        for j in ids:
-            m |= nbr[j]
-        reach[c] = m
+        for c in cs:
+            reach[c] |= m
     full = (1 << len(cells)) - 1
     notfar = []
     for cs in cells:
@@ -493,7 +489,8 @@ def greedy_upper_bound(shape: Shape, board: Board | None = None,
         board = default_board(shape)
     masks = _tables(shape, board, mode)[1]
     arr = Arrangement(board, shape, mode, tuple(seed))
-    reason, occ = _occupancy(arr)
+    # With no seed the board starts empty, and there is nothing to check.
+    reason, occ = _occupancy(arr) if arr.placements else (None, 0)
     if reason is not None:
         raise ValueError(f"seed is invalid: {reason}")
     chosen = []

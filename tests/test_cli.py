@@ -1,4 +1,9 @@
+import contextlib
+import io
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -74,6 +79,39 @@ class TestSolve:
                                 "--custom-cells", "1,1;2,1;2,2",
                                 "--board", "4"])
         assert code == 0 and out.splitlines()[0] == "cp = 3"
+
+
+class TestClosedStdout:
+    SOLVE = ["solve", "--family", "T", "--params", "1,1", "--board", "7"]
+
+    # Unbuffered, a print meets the closed pipe inside the command;
+    # buffered, the flush after it does.
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_pipe_exits_141_silently(self, unbuffered):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "clumsypack", *self.SOLVE],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
+
+    def test_in_process_caller_keeps_its_stream(self):
+        # Only the process's own stdout is pointed at os.devnull; under a
+        # caller's redirected stream, fd 1 stays as it is.
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        fd1, err = os.fstat(1), io.StringIO()
+        with contextlib.redirect_stdout(Closed()), contextlib.redirect_stderr(err):
+            assert cli.main(self.SOLVE) == 141
+        assert os.path.samestat(os.fstat(1), fd1)
+        assert err.getvalue() == ""
 
 
 class TestVerify:

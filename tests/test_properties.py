@@ -9,9 +9,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from clumsypack import solver
 from clumsypack.geometry import Cell, custom, plus, rect, rotate, straight_v, tee
-from clumsypack.packing import (Arrangement, Board, Placement, _placements_at, _tables,
-                                cells_of, enumerate_placements, is_maximal, is_valid,
-                                placement_masks, validate)
+from clumsypack.packing import (Arrangement, Board, Placement, _orientation, _placements_at,
+                                _tables, cells_of, enumerate_placements, is_maximal,
+                                is_valid, placement_masks, validate)
 from clumsypack.solver import (ORACLE_SOFT_MAX_K, ORACLE_SOFT_PLACEMENTS,
                                BudgetExceededError, OracleGuardError, _Budget, _complete,
                                _conflict_graph, _indices, _packing_bound, _symmetry_group,
@@ -146,6 +146,58 @@ def test_symmetry_group_matches_cell_by_cell_reference(shape, n, mode):
     group = _symmetry_group(shape, board, mode)
     assert group[0] == list(range(len(group[0])))
     assert {tuple(g) for g in group} == reference_group(shape, board, mode)
+
+
+def reference_turn(shape, m):
+    """The shape turned m quarter turns clockwise one turn at a time,
+    (col, row) -> (-row, col), then shifted back to min col = min row = 1."""
+    cells, anchor = list(shape.cells), shape.anchor
+    for _ in range(m):
+        cells = [Cell(-r, c) for c, r in cells]
+        anchor = Cell(-anchor.row, anchor.col)
+    dc = 1 - min(c.col for c in cells)
+    dr = 1 - min(c.row for c in cells)
+    return ({Cell(c + dc, r + dr) for c, r in cells},
+            Cell(anchor.col + dc, anchor.row + dr))
+
+
+@settings(SETTINGS, max_examples=150)
+@given(polyominoes(5), st.integers(1, 8))
+def test_orientation_is_read_off_rotate(shape, n):
+    for m in range(4):
+        rot = rotate(shape, m)
+        assert (set(rot.cells), rot.anchor) == reference_turn(shape, m)
+        # OR, not sum: on a board narrower than the piece two cells may
+        # share a bit, and the mask then means nothing but must not change.
+        corner = 0
+        for c in rot.cells:
+            corner |= 1 << ((c.row - 1) * n + c.col - 1)
+        assert _orientation(shape, m, n) == (rot.anchor.col, rot.anchor.row,
+                                             rot.width, rot.height, corner)
+
+
+def reference_graph(shape, board, mode):
+    """(nbr, notnbr, notfar) from the placement masks: j is in nbr[i] when
+    the two placements meet, and in notfar[i] when no placement meets both."""
+    masks = placement_masks(shape, board, mode)[1]
+    full = (1 << len(masks)) - 1
+    nbr = [sum(1 << j for j, b in enumerate(masks) if a & b) for a in masks]
+    far = []
+    for a in masks:
+        m = 0
+        for c, b in enumerate(masks):
+            if a & b:
+                m |= nbr[c]
+        far.append(m)
+    return nbr, [full ^ m for m in nbr], [full ^ m for m in far]
+
+
+@settings(SETTINGS, max_examples=150)
+@given(polyominoes(5), st.integers(1, 8), st.sampled_from(("fixed", "free")))
+def test_conflict_graph_matches_mask_reference(shape, n, mode):
+    board = Board(n)
+    graph = _conflict_graph(_tables(shape, board, mode)[2])
+    assert graph == reference_graph(shape, board, mode)
 
 
 # Each placement here covers the cells of a table placement with a lower

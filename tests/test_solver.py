@@ -170,7 +170,7 @@ class TestBudget:
         assert "clumsy number is in" in str(err)
 
     def test_error_survives_pickle_and_copy(self):
-        # A budget stop in a process-pool worker reaches the caller pickled.
+        # Callers that pickle or copy a budget stop get the same bracket.
         for upper in (6, None):
             err = BudgetExceededError(4, upper, 1001)
             for back in (pickle.loads(pickle.dumps(err)), copy.copy(err)):
@@ -226,6 +226,23 @@ class TestBudget:
             clumsy_number(straight_v(5), mode="free", node_budget=-5)
         with pytest.raises(ValueError, match="node budget"):
             first_maximal_arrangement(tee(4, 3), Board(12), "free", 2, node_budget=-3)
+
+    @pytest.mark.parametrize("budget", [1000.5, 2.0])
+    def test_fractional_node_budget_rejected(self, budget):
+        # Node counts are integers; a float budget would report a float
+        # count such as 1001.5 nodes.
+        with pytest.raises(TypeError):
+            clumsy_number(tee(1, 1), Board(7), node_budget=budget)
+        with pytest.raises(TypeError):
+            first_maximal_arrangement(tee(1, 1), Board(7), "free", 6, node_budget=budget)
+
+    def test_bool_node_budget_counts_as_int(self):
+        with pytest.raises(BudgetExceededError) as ei:
+            clumsy_number(tee(1, 1), Board(7), node_budget=True)
+        assert ei.value.nodes == 2 and type(ei.value.nodes) is int
+        with pytest.raises(BudgetExceededError) as ei:
+            first_maximal_arrangement(tee(1, 1), Board(7), "free", 6, node_budget=False)
+        assert ei.value.nodes == 1
 
     @pytest.mark.parametrize("seconds", [float("nan"), -1.0])
     def test_nan_or_negative_time_budget_rejected(self, seconds):
