@@ -24,9 +24,8 @@ routes end in ``_document``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
-from .geometry import FAMILIES, Cell, make_shape, rotate
+from .geometry import FAMILIES, Cell, _Record, _set, make_shape, rotate
 from .packing import MODES, Arrangement, Board, Placement
 
 
@@ -63,16 +62,38 @@ class FileFormatError(ValueError):
     """The document does not follow the arrangement file format."""
 
 
-@dataclass(frozen=True)
-class ArrangementFile:
+class ArrangementFile(_Record):
     """In-memory image of one arrangement document."""
 
+    __slots__ = ("board_n", "family", "params", "mode", "placements", "custom_cells")
     board_n: int
     family: str
     params: tuple[int, ...]
     mode: str
     placements: tuple[dict, ...]
-    custom_cells: tuple[Cell, ...] | None = field(default=None)
+    custom_cells: tuple[Cell, ...] | None
+
+    def __init__(self, board_n: int, family: str, params: tuple[int, ...], mode: str,
+                 placements: tuple[dict, ...],
+                 custom_cells: tuple[Cell, ...] | None = None) -> None:
+        _set(self, "board_n", board_n)
+        _set(self, "family", family)
+        _set(self, "params", params)
+        _set(self, "mode", mode)
+        _set(self, "placements", placements)
+        _set(self, "custom_cells", custom_cells)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.board_n, self.family, self.params, self.mode, self.placements,
+                     self.custom_cells)
+                    == (other.board_n, other.family, other.params, other.mode,
+                        other.placements, other.custom_cells))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.board_n, self.family, self.params, self.mode, self.placements,
+                     self.custom_cells))
 
 
 def from_arrangement(arrangement: Arrangement) -> ArrangementFile:

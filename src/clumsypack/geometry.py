@@ -10,7 +10,6 @@ board are expressed through placements, never through denormalized cell sets.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 
@@ -26,29 +25,78 @@ def _norm_shift(cells: Iterable[Cell]) -> tuple[int, int]:
     return 1 - min(c.col for c in cs), 1 - min(c.row for c in cs)
 
 
-@dataclass(frozen=True)
-class Shape:
+class _Record:
+    """Base of the package's immutable records.
+
+    A record names its fields in ``__slots__`` and sets them once, in its
+    ``__init__``, through ``object.__setattr__``.  Each record writes its
+    own ``__eq__`` and ``__hash__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Rebuilt through __init__, which cannot go round the frozen fields.
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+_set = object.__setattr__
+
+
+def _as_cell(pair: Iterable[int]) -> Cell:
+    """A (col, row) pair as a Cell of two ints.  A coordinate that is no
+    integer (1.5, "1") raises TypeError; a bool becomes an int."""
+    if type(pair) is not Cell or type(pair[0]) is not int or type(pair[1]) is not int:
+        col, row = Cell(*pair)
+        pair = Cell(operator.index(col), operator.index(row))
+    return pair
+
+
+class Shape(_Record):
     """A normalized polyomino with a designated anchor cell.
 
     Two shapes compare equal when their cells and anchor agree; the family
     tag and parameters are descriptive metadata and do not affect equality.
     """
 
+    __slots__ = ("cells", "anchor", "family", "params")
     cells: frozenset[Cell]
     anchor: Cell
-    family: str = field(default="custom", compare=False)
-    params: tuple[int, ...] = field(default=(), compare=False)
+    family: str
+    params: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        cells = frozenset(Cell(*c) for c in self.cells)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "anchor", Cell(*self.anchor))
+    def __init__(self, cells: Iterable[Cell], anchor: Cell,
+                 family: str = "custom", params: tuple[int, ...] = ()) -> None:
+        cells = frozenset(map(_as_cell, cells))
+        anchor = _as_cell(anchor)
         if not cells:
             raise ValueError("a shape needs at least one cell")
         if min(c.col for c in cells) != 1 or min(c.row for c in cells) != 1:
             raise ValueError("shape cells must be normalized (min col = min row = 1)")
-        if self.anchor not in cells:
-            raise ValueError(f"anchor {tuple(self.anchor)} is not one of the shape's cells")
+        if anchor not in cells:
+            raise ValueError(f"anchor {tuple(anchor)} is not one of the shape's cells")
+        _set(self, "cells", cells)
+        _set(self, "anchor", anchor)
+        _set(self, "family", family)
+        _set(self, "params", params)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.cells, self.anchor) == (other.cells, other.anchor)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cells, self.anchor))
 
     @property
     def size(self) -> int:

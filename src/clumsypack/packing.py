@@ -18,11 +18,10 @@ from one such pass.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .geometry import Cell, Shape, _turn, rotate
+from .geometry import Cell, Shape, _as_cell, _Record, _set, _turn, rotate
 
 MODES = ("fixed", "free")
 
@@ -33,15 +32,25 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-@dataclass(frozen=True)
-class Board:
+class Board(_Record):
     """An n x n board whose cells are Cell(i, j) with 1 <= i, j <= n."""
 
+    __slots__ = ("n",)
     n: int
 
-    def __post_init__(self) -> None:
-        if operator.index(self.n) < 1:
-            raise ValueError(f"board size must be positive, got {self.n}")
+    def __init__(self, n: int) -> None:
+        n = operator.index(n)
+        if n < 1:
+            raise ValueError(f"board size must be positive, got {n}")
+        _set(self, "n", n)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n,) == (other.n,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n,))
 
     def __contains__(self, cell: Cell) -> bool:
         i, j = cell
@@ -53,23 +62,35 @@ def default_board(shape: Shape) -> Board:
     return Board(shape.size)
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(_Record):
     """One copy of the shape: rotation (quarter turns clockwise) and where
     the rotated shape's anchor sits on the board."""
 
+    __slots__ = ("rotation", "anchor_pos")
     rotation: int
     anchor_pos: Cell
 
-    def __post_init__(self) -> None:
+    def __init__(self, rotation: int, anchor_pos: Cell) -> None:
         # Only values that need it are rewritten: a bool or out-of-range
-        # rotation becomes an int in 0..3, any other anchor a Cell.  A
-        # rotation that is no integer (1.5) raises TypeError.
-        m = self.rotation
-        if type(m) is not int or not 0 <= m <= 3:
-            object.__setattr__(self, "rotation", operator.index(m) % 4)
-        if type(self.anchor_pos) is not Cell:
-            object.__setattr__(self, "anchor_pos", Cell(*self.anchor_pos))
+        # rotation becomes an int in 0..3, any other anchor a Cell of two
+        # ints (_as_cell, whose test is repeated here to save the call).  A
+        # rotation or coordinate that is no integer (1.5, "1") raises
+        # TypeError.
+        if type(rotation) is not int or not 0 <= rotation <= 3:
+            rotation = operator.index(rotation) % 4
+        if type(anchor_pos) is not Cell or type(anchor_pos[0]) is not int \
+                or type(anchor_pos[1]) is not int:
+            anchor_pos = _as_cell(anchor_pos)
+        _set(self, "rotation", rotation)
+        _set(self, "anchor_pos", anchor_pos)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.rotation, self.anchor_pos) == (other.rotation, other.anchor_pos)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rotation, self.anchor_pos))
 
 
 def cells_of(shape: Shape, placement: Placement) -> frozenset[Cell]:
@@ -80,18 +101,30 @@ def cells_of(shape: Shape, placement: Placement) -> frozenset[Cell]:
     return frozenset(Cell(c.col + dc, c.row + dr) for c in rot.cells)
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(_Record):
     """An ordered collection of placements of one shape on one board."""
 
+    __slots__ = ("board", "shape", "mode", "placements")
     board: Board
     shape: Shape
     mode: str
-    placements: tuple[Placement, ...] = field(default=())
+    placements: tuple[Placement, ...]
 
-    def __post_init__(self) -> None:
-        _check_mode(self.mode)
-        object.__setattr__(self, "placements", tuple(self.placements))
+    def __init__(self, board: Board, shape: Shape, mode: str,
+                 placements: Iterable[Placement] = ()) -> None:
+        _set(self, "board", board)
+        _set(self, "shape", shape)
+        _set(self, "mode", _check_mode(mode))
+        _set(self, "placements", tuple(placements))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.board, self.shape, self.mode, self.placements)
+                    == (other.board, other.shape, other.mode, other.placements))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.board, self.shape, self.mode, self.placements))
 
     @property
     def size(self) -> int:

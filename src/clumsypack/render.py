@@ -6,12 +6,10 @@ off-board arrangement would silently misrepresent it.
 
 from __future__ import annotations
 
-from string import ascii_lowercase, ascii_uppercase
-
 from .geometry import rotate
 from .packing import Arrangement, cells_of, validate
 
-_LETTERS = ascii_uppercase + ascii_lowercase
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
 # Fill colors cycle across pieces.
 _PALETTE = ("#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1",

@@ -56,9 +56,8 @@ import itertools
 import operator
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .geometry import Cell, Shape, rotate
+from .geometry import Cell, Shape, _Record, _set, rotate
 from .packing import (Arrangement, Board, Placement, _check_mode, _occupancy,
                       _placements_at, _tables, default_board)
 
@@ -93,12 +92,29 @@ class OracleGuardError(RuntimeError):
     """The instance is too large for the definitional oracle."""
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Record):
+    __slots__ = ("clumsy_number", "witness", "nodes_explored", "elapsed")
     clumsy_number: int
     witness: Arrangement
     nodes_explored: int
     elapsed: float
+
+    def __init__(self, clumsy_number: int, witness: Arrangement,
+                 nodes_explored: int, elapsed: float) -> None:
+        _set(self, "clumsy_number", clumsy_number)
+        _set(self, "witness", witness)
+        _set(self, "nodes_explored", nodes_explored)
+        _set(self, "elapsed", elapsed)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.clumsy_number, self.witness, self.nodes_explored, self.elapsed)
+                    == (other.clumsy_number, other.witness, other.nodes_explored,
+                        other.elapsed))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.clumsy_number, self.witness, self.nodes_explored, self.elapsed))
 
 
 class _Budget:

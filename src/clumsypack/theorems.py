@@ -14,11 +14,10 @@ witness recipe, and the solver may refute it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Callable
 
-from .geometry import Cell, Shape, custom, ell, plus, rect, straight_v, tee
+from .geometry import Cell, Shape, _Record, _set, custom, ell, plus, rect, straight_v, tee
 from .packing import Arrangement, Board, Placement, _check_mode, _tables, _verdict
 from .solver import clumsy_number, first_maximal_arrangement
 
@@ -52,8 +51,7 @@ def _ceil_div(x: int, y: int) -> int:
     return -(-x // y)
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(_Record):
     """One stated result: what it is about, what it claims, how it is witnessed.
 
     ``instance`` maps the parameters to the shape and the board side the
@@ -64,6 +62,8 @@ class Claim:
     it is None for the conjecture.
     """
 
+    __slots__ = ("params", "hypothesis", "hypothesis_text", "value", "instance",
+                 "mode", "construction")
     params: tuple[str, ...]
     hypothesis: Callable[..., bool]
     hypothesis_text: str
@@ -71,6 +71,30 @@ class Claim:
     instance: Callable[..., tuple[Shape, int]]
     mode: str
     construction: Callable[..., tuple[Placement, ...]] | None
+
+    def __init__(self, params: tuple[str, ...], hypothesis: Callable[..., bool],
+                 hypothesis_text: str, value: Callable[..., int | tuple[int, int]],
+                 instance: Callable[..., tuple[Shape, int]], mode: str,
+                 construction: Callable[..., tuple[Placement, ...]] | None) -> None:
+        _set(self, "params", params)
+        _set(self, "hypothesis", hypothesis)
+        _set(self, "hypothesis_text", hypothesis_text)
+        _set(self, "value", value)
+        _set(self, "instance", instance)
+        _set(self, "mode", mode)
+        _set(self, "construction", construction)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.params, self.hypothesis, self.hypothesis_text, self.value,
+                     self.instance, self.mode, self.construction)
+                    == (other.params, other.hypothesis, other.hypothesis_text,
+                        other.value, other.instance, other.mode, other.construction))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.hypothesis, self.hypothesis_text, self.value,
+                     self.instance, self.mode, self.construction))
 
 
 def _rect_fixed_value(a: int, b: int) -> int:
@@ -284,10 +308,11 @@ def _bracket(value: int | tuple[int, int]) -> tuple[int, int]:
 SOLVER_PLACEMENT_LIMIT = 200
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(_Record):
     """Outcome of cross-checking one theorem instance."""
 
+    __slots__ = ("theorem", "params", "formula_value", "construction",
+                 "construction_ok", "solver_value", "consistent")
     theorem: TheoremId
     params: tuple[int, ...]
     formula_value: object
@@ -295,6 +320,31 @@ class TheoremReport:
     construction_ok: bool | None
     solver_value: int | None
     consistent: bool
+
+    def __init__(self, theorem: TheoremId, params: tuple[int, ...],
+                 formula_value: object, construction: Arrangement | None,
+                 construction_ok: bool | None, solver_value: int | None,
+                 consistent: bool) -> None:
+        _set(self, "theorem", theorem)
+        _set(self, "params", params)
+        _set(self, "formula_value", formula_value)
+        _set(self, "construction", construction)
+        _set(self, "construction_ok", construction_ok)
+        _set(self, "solver_value", solver_value)
+        _set(self, "consistent", consistent)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.theorem, self.params, self.formula_value, self.construction,
+                     self.construction_ok, self.solver_value, self.consistent)
+                    == (other.theorem, other.params, other.formula_value,
+                        other.construction, other.construction_ok, other.solver_value,
+                        other.consistent))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.theorem, self.params, self.formula_value, self.construction,
+                     self.construction_ok, self.solver_value, self.consistent))
 
 
 def check_theorem(theorem: TheoremId, params: tuple[int, ...],

@@ -111,6 +111,23 @@ class TestConstructorErrors:
         with pytest.raises(ValueError):
             custom([])
 
+    @pytest.mark.parametrize("cells,anchor", [
+        ({(1.0, 1), (2, 1)}, (1, 1)),
+        ({("1", 1), (2, 1)}, (1, 1)),
+        ({(1, 1), (2, 1)}, (1.0, 1)),
+    ])
+    def test_coordinates_must_be_integers(self, cells, anchor):
+        # Refused here, not deep inside the placement tables.
+        with pytest.raises(TypeError):
+            Shape(frozenset(cells), anchor)
+        with pytest.raises(TypeError):
+            custom(cells, anchor)
+
+    def test_bool_coordinates_become_ints(self):
+        s = Shape({(True, 1), (2, True)}, (1, True))
+        assert s == Shape({Cell(1, 1), Cell(2, 1)}, Cell(1, 1))
+        assert all(type(v) is int for c in (*s.cells, s.anchor) for v in c)
+
 
 class TestMakeShape:
     def test_dispatch(self):

@@ -48,6 +48,17 @@ class TestPlacement:
         with pytest.raises(TypeError):
             Placement(rotation, Cell(2, 2))
 
+    @pytest.mark.parametrize("anchor", [(1.5, 2), ("1", 2), Cell(2, 2.0), (2, None)])
+    def test_anchor_must_be_integers(self, anchor):
+        # Refused here, not deep inside the validity check or the renderer.
+        with pytest.raises(TypeError):
+            Placement(0, anchor)
+
+    def test_bool_anchor_becomes_int(self):
+        p = Placement(0, Cell(True, 2))
+        assert p == Placement(0, Cell(1, 2))
+        assert type(p.anchor_pos) is Cell and type(p.anchor_pos.col) is int
+
 
 class TestCellsOf:
     def test_unrotated(self):

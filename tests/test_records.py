@@ -1,0 +1,109 @@
+"""The contract every immutable record keeps: equality and hash on its
+fields, no assignment or deletion, copies and pickles equal to the
+original, and a repr that names each field."""
+
+import copy
+import pickle
+
+import pytest
+
+from clumsypack.files import ArrangementFile
+from clumsypack.geometry import Cell, Shape, ell, tee
+from clumsypack.packing import Arrangement, Board, Placement
+from clumsypack.solver import SolveResult
+from clumsypack.theorems import Claim, TheoremId, TheoremReport
+
+_ARR = Arrangement(Board(4), ell(1, 1), "free", (Placement(0, Cell(1, 1)),))
+_OTHER_ARR = Arrangement(Board(7), tee(1, 1), "fixed", ())
+
+# (class, field names in parameter order, field values, other values).
+# Each other value differs from its field value and still builds a record
+# when it replaces that one field.
+RECORDS = [
+    (Shape, ("cells", "anchor", "family", "params"),
+     (frozenset({Cell(1, 1), Cell(2, 1)}), Cell(1, 1), "custom", ()),
+     (frozenset({Cell(1, 1), Cell(2, 1), Cell(1, 2)}), Cell(2, 1), "L", (1, 1))),
+    (Board, ("n",), (4,), (5,)),
+    (Placement, ("rotation", "anchor_pos"), (1, Cell(2, 3)), (2, Cell(3, 3))),
+    (Arrangement, ("board", "shape", "mode", "placements"),
+     (Board(4), ell(1, 1), "free", (Placement(0, Cell(1, 1)),)),
+     (Board(5), tee(1, 1), "fixed", ())),
+    (SolveResult, ("clumsy_number", "witness", "nodes_explored", "elapsed"),
+     (1, _ARR, 5, 0.25), (2, _OTHER_ARR, 6, 0.5)),
+    (Claim, ("params", "hypothesis", "hypothesis_text", "value", "instance", "mode",
+             "construction"),
+     (("a",), bool, "a >= 1", abs, divmod, "fixed", None),
+     (("a", "b"), callable, "a, b >= 1", round, pow, "free", max)),
+    (TheoremReport, ("theorem", "params", "formula_value", "construction",
+                     "construction_ok", "solver_value", "consistent"),
+     (TheoremId.STRAIGHT_FIXED, (1,), 1, _ARR, True, 1, True),
+     (TheoremId.RECT_FIXED, (2, 3), (1, 2), None, None, None, False)),
+    (ArrangementFile, ("board_n", "family", "params", "mode", "placements",
+                       "custom_cells"),
+     (4, "L", (1, 1), "free", (), None),
+     (5, "custom", (), "fixed", ({"rotation": 0, "anchor_col": 1, "anchor_row": 1},),
+      (Cell(1, 1),))),
+]
+
+# Metadata that Shape leaves out of equality and hash.
+_UNCOMPARED = {(Shape, "family"), (Shape, "params")}
+
+
+def _build(cls, fields, values):
+    return cls(**dict(zip(fields, values)))
+
+
+@pytest.fixture(params=RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def record(request):
+    return request.param
+
+
+def test_equal_fields_give_equal_records(record):
+    cls, fields, values, _ = record
+    a, b = _build(cls, fields, values), _build(cls, fields, values)
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    # Another type never compares equal, not even the tuple of the fields.
+    assert a != values and a != object()
+
+
+def test_each_field_takes_part_in_equality(record):
+    cls, fields, values, others = record
+    base = _build(cls, fields, values)
+    for i, name in enumerate(fields):
+        changed = _build(cls, fields, values[:i] + (others[i],) + values[i + 1:])
+        assert getattr(changed, name) == others[i]
+        if (cls, name) in _UNCOMPARED:
+            assert changed == base and hash(changed) == hash(base)
+        else:
+            assert changed != base
+
+
+def test_fields_cannot_be_assigned_or_deleted(record):
+    cls, fields, values, others = record
+    rec = _build(cls, fields, values)
+    for name, other in zip(fields, others):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, other)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    with pytest.raises(AttributeError):
+        rec.not_a_field = 1
+    assert rec == _build(cls, fields, values)
+
+
+def test_copies_and_pickles_are_equal(record):
+    cls, fields, values, _ = record
+    rec = _build(cls, fields, values)
+    for back in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+        assert type(back) is cls
+        assert back == rec
+        assert all(getattr(back, name) == getattr(rec, name) for name in fields)
+
+
+def test_repr_names_every_field(record):
+    cls, fields, values, _ = record
+    text = repr(_build(cls, fields, values))
+    assert text.startswith(f"{cls.__name__}(") and text.endswith(")")
+    for name, value in zip(fields, values):
+        assert f"{name}={value!r}" in text
