@@ -14,15 +14,23 @@ more members than picks left the node is dead.  Below the entry, with as
 many members as picks left, the node is narrowed: each pick dominates
 exactly one member.  An undominated placement that shares no dominator with
 any other member is private to its member: only that member's pick can
-dominate it.  So a member's candidates are its allowed dominators that
-dominate all its private placements too, tested bit-parallel.  A member
-left with none kills the node; otherwise the picks narrow to the union of
-these sets and the branch is on the member with the fewest.  Otherwise,
-the entry included, the branch is on the undominated placement with the
-fewest allowed dominators, scanned lowest first; the scan lists the
-undominated placements from the mask's binary string in C (``_indices``).
-A refuted candidate is forbidden to its later siblings, and the loop runs
-on an explicit stack, so no depth meets Python's recursion limit.
+dominate it.  A pass back over the walk gives each member its private
+placements, and a pass forward, in walk order, gives each member its
+candidates: its allowed dominators, narrowed bit-parallel by the dominators
+of each of its other private placements.  A member left with none kills
+the node; otherwise the picks narrow to the union of these sets and the
+branch is on the first member with the fewest.  Otherwise, the entry
+included, the branch is on the undominated placement with the fewest
+allowed dominators, scanned lowest first; the scan lists the undominated
+placements from the mask's binary string in C (``_indices``).  A refuted
+candidate is forbidden to its later siblings, and the loop runs on an
+explicit stack, so no depth meets Python's recursion limit.
+
+The search numbers placements from the end: of P placements, placement i
+is bit P - 1 - i.  So the lowest placement in a mask is its highest bit,
+which ``int.bit_length`` finds without making a new int.  ``_setup``
+builds the graph and orbit masks this way, and ``_lex_first`` returns
+placement indices.  Lowest, first and above mean placement order.
 
 The refuter calls the loop on the whole graph for k = start, start + 1,
 ...  One call at k refutes every size up to k, so the first k that succeeds
@@ -168,12 +176,17 @@ def _check_budget(node_budget: int, time_budget: float | None = None) -> None:
                          f"got {time_budget}")
 
 
-def _conflict_graph(cells: tuple[tuple[int, ...], ...]
-                    ) -> tuple[list[int], list[int], list[int]]:
-    """The (nbr, notnbr, notfar) masks over placement indices that the
-    search reads.
+# (nbr, notnbr, notfar, bit), as ``_conflict_graph`` builds them.
+_Graph = tuple[list[int], list[int], list[int], list[int]]
 
-    ``cells[i]`` lists the cell bits of placement i (``_tables(...)[2]``).
+
+def _conflict_graph(cells: tuple[tuple[int, ...], ...]) -> _Graph:
+    """The (nbr, notnbr, notfar, bit) lists of masks over the indices of
+    ``cells`` that the search reads.
+
+    ``cells[i]`` lists the cell bits of placement i (``_tables(...)[2]``,
+    which ``_setup`` hands over reversed).  bit[i] is 1 << i, read from a
+    list because a shift makes a new int.
 
     nbr[i] holds the placements whose cells meet placement i; every
     placement conflicts with itself, so bit i of nbr[i] is set.  far[i] =
@@ -186,10 +199,12 @@ def _conflict_graph(cells: tuple[tuple[int, ...], ...]
     """
     size = max((cs[-1] for cs in cells), default=-1) + 1
     cover = [0] * size
+    bit = []
     for i, cs in enumerate(cells):
-        bit = 1 << i
+        b = 1 << i
+        bit.append(b)
         for c in cs:
-            cover[c] |= bit
+            cover[c] |= b
     # reach[c]: the placements that meet some placement on cell c.
     reach = [0] * size
     nbr = []
@@ -207,12 +222,13 @@ def _conflict_graph(cells: tuple[tuple[int, ...], ...]
         for c in cs:
             m |= reach[c]
         notfar.append(full ^ m)
-    return nbr, [full ^ m for m in nbr], notfar
+    return nbr, [full ^ m for m in nbr], notfar, bit
 
 
 def _packing_bound(notfar: list[int], undom: int) -> int:
-    """Size of a greedy packing of ``undom``: lowest first, no two members
-    sharing a neighbour.
+    """Size of a greedy packing of ``undom``: highest bit first, which is
+    the lowest placement in the search's numbering, no two members sharing
+    a neighbour.
 
     Each member needs a dominator of its own, since no one placement meets
     two of them, so dominating ``undom`` takes at least this many picks.
@@ -220,32 +236,36 @@ def _packing_bound(notfar: list[int], undom: int) -> int:
     count = 0
     while undom:
         count += 1
-        undom &= notfar[(undom & -undom).bit_length() - 1]
+        undom &= notfar[undom.bit_length() - 1]
     return count
 
 
 def _indices(mask: int) -> Iterator[int]:
-    """The indices of the set bits of ``mask``, lowest first, produced lazily.
+    """The indices of the set bits of ``mask``, highest first (so lowest
+    placement first in the search's numbering), produced lazily.
 
-    The reversed binary string of ``mask`` becomes one 0/1 byte per bit, and
-    ``compress`` keeps the counts at the 1s, so the loop over bits runs in C
-    rather than as big-int operations per bit.  ``mask`` must be
-    non-negative: ``bin`` of a negative int starts with ``-``.
+    The binary string of ``mask`` becomes one 0/1 byte per bit, and
+    ``compress`` keeps the values of a falling count at the 1s, so the loop
+    over bits runs in C rather than as big-int operations per bit.
+    ``mask`` must be non-negative: ``bin`` of a negative int starts with
+    ``-``.
     """
-    return itertools.compress(itertools.count(),
-                              bin(mask)[:1:-1].encode().translate(_BITS))
+    return itertools.compress(itertools.count(mask.bit_length() - 1, -1),
+                              bin(mask)[2:].encode().translate(_BITS))
 
 
-def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed: int,
+def _complete(graph: _Graph, undom: int, allowed: int,
               need: int, exact: bool, budget: _Budget, orbits: list[int] | None = None
               ) -> tuple[tuple[int, ...], int] | None:
     """Can at most ``need`` independent picks from ``allowed`` dominate
     ``undom``?  The picks in the order found, with the allowed mask of the
     entry as it stood before the first of them was tried, or None.
 
-    ``graph`` is (nbr, notnbr, notfar).  With ``exact`` the picks must
+    ``graph`` is (nbr, notnbr, notfar, bit).  With ``exact`` the picks must
     number exactly ``need``.  ``allowed`` lies within ``undom``, since a
-    pick must be independent of the picks that left ``undom``.
+    pick must be independent of the picks that left ``undom``.  Every scan
+    takes the highest bit first: the lowest placement, in the numbering
+    ``_setup`` gives the graph.
 
     One loop evaluates the entry and then each candidate's child, each with
     one walk of the packing of its undominated placements; the module
@@ -260,8 +280,10 @@ def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed
     whole orbit to the later ones, though its own subtree keeps the other
     members.
     """
-    nbr, notnbr, notfar = graph
+    nbr, notnbr, notfar, bit = graph
     nodes, stop = budget.nodes, budget.stop
+    # More than any member's count of candidates.
+    most = len(nbr) + 1
     # The frame in use, the last node expanded, lives in c (its candidates
     # not yet tried), undom, allowed and left (the picks its children still
     # need), and d, the picks that reached it.  While a deeper frame is in
@@ -286,7 +308,7 @@ def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed
             # would be one more.
             r, j = u2, 0
             while True:
-                w = (r & -r).bit_length() - 1
+                w = r.bit_length() - 1
                 ws[j] = w
                 rs[j] = r
                 r &= notfar[w]
@@ -296,13 +318,14 @@ def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed
             # With r left, each of left + 1 members needs a pick of its own
             # and the node is dead.
             if not r:
-                best, fewest = 0, a2.bit_count() + 1
+                best, fewest = 0, most
                 if j == left and d >= 0:
                     # Each pick dominates exactly one member.  rs[t] & after
-                    # holds the placements private to ws[t]: ws[t] itself
-                    # and those that share no dominator with another member.
-                    # Only ws[t]'s pick can dominate them, so it dominates
-                    # them all.
+                    # holds the placements private to ws[t]: ws[t] itself,
+                    # its highest bit, and those that share no dominator
+                    # with another member.  Only ws[t]'s pick can dominate
+                    # them, so its candidates are first, its allowed
+                    # dominators, narrowed by the others.
                     after = -1
                     t = left
                     while t:
@@ -310,23 +333,27 @@ def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed
                         rs[t] &= after
                         after &= notfar[ws[t]]
                     cover = 0
-                    for t in range(left):
-                        b, priv = a2, rs[t]
+                    while t < left:
+                        w = ws[t]
+                        b = first = a2 & nbr[w]
+                        priv = rs[t] ^ bit[w]
                         while priv and b:
-                            low = priv & -priv
-                            b &= nbr[low.bit_length() - 1]
-                            priv ^= low
+                            k = priv.bit_length() - 1
+                            b &= nbr[k]
+                            priv ^= bit[k]
                         if not b:
                             # Every candidate of ws[t] is rejected.
-                            best, fewest, w = 0, 0, ws[t]
+                            best, fewest, top = 0, 0, first
                             break
                         count = b.bit_count()
                         if count < fewest:
-                            best, fewest, w = b, count, ws[t]
+                            best, fewest, top = b, count, first
                         cover |= b
+                        t += 1
                     # Each rejected candidate of the branch member, or of
-                    # the member that kills the node, is a node.
-                    nodes += (a2 & nbr[w]).bit_count() - fewest
+                    # the member that kills the node (top is its first), is
+                    # a node.
+                    nodes += top.bit_count() - fewest
                     if nodes >= stop:
                         stop = budget.spend(nodes - budget.nodes)
                     a2 = cover
@@ -350,12 +377,12 @@ def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed
                 return None
             c, undom, allowed, left = saved[d]
             d -= 1
-        low = c & -c
+        i = c.bit_length() - 1
+        low = bit[i]
         c ^= low
         nodes += 1
         if nodes >= stop:
             stop = budget.spend(nodes - budget.nodes)
-        i = low.bit_length() - 1
         picks[d] = i
         u2 = undom & notnbr[i]
         a2 = allowed & notnbr[i]
@@ -368,46 +395,49 @@ def _complete(graph: tuple[list[int], list[int], list[int]], undom: int, allowed
             c &= allowed
 
 
-def _lex_first(graph: tuple[list[int], list[int], list[int]], firsts: int, allowed: int,
+def _lex_first(graph: _Graph, firsts: int, allowed: int,
                size: int, budget: _Budget, found: tuple[int, ...] = ()) -> list[int] | None:
     """Lexicographically first independent dominating set of exactly
-    ``size`` placements, or None, given that every such set lies within
-    ``allowed``.
+    ``size`` placements, as placement indices, or None, given that every
+    such set lies within ``allowed``.
 
-    Built one position at a time: each keeps the lowest candidate above the
-    last pick (at position 0, one in ``firsts``) that ``_complete`` can
-    extend by exactly the picks still needed, all above it.  Each candidate
-    is one node.  ``found`` is a known set of this size; the least member of
-    the completion in hand passes without a search when it is the next
+    The masks and ``found`` use the search's numbering (``_setup``), so
+    the placements above bit i lie below it.  Built one position at a
+    time: each keeps the lowest candidate above the last pick (at
+    position 0, one in ``firsts``) that ``_complete`` can extend by exactly
+    the picks still needed, all above it.  Each candidate is one node.
+    ``found`` is a known set of this size; the least member of the
+    completion in hand passes without a search when it is the next
     candidate.  Size 0 succeeds only when nothing is left to dominate.
     """
-    notnbr = graph[1]
+    notnbr, bit = graph[1], graph[3]
     undom = (1 << len(notnbr)) - 1
     if size <= 0:
         return None if size or undom else []
+    top = len(notnbr) - 1
     c = firsts & allowed
     picks = []
     # The completion in hand, least member last.
-    ahead = sorted(found, reverse=True)
+    ahead = sorted(found)
     for need in range(size - 1, -1, -1):
         while True:
             if not c:
                 return None
-            low = c & -c
+            i = c.bit_length() - 1
+            low = bit[i]
             c ^= low
             budget.spend(1)
-            i = low.bit_length() - 1
             u2 = undom & notnbr[i]
             if ahead and ahead[-1] == i:
                 ahead.pop()
                 break
-            got = _complete(graph, u2, u2 & allowed & -(low << 1), need, True, budget)
+            got = _complete(graph, u2, u2 & allowed & (low - 1), need, True, budget)
             if got is not None:
-                ahead = sorted(got[0], reverse=True)
+                ahead = sorted(got[0])
                 break
-        picks.append(i)
+        picks.append(top - i)
         undom = u2
-        c = undom & allowed & -(low << 1)
+        c = undom & allowed & (low - 1)
     return picks
 
 
@@ -470,7 +500,8 @@ def _symmetry_group(shape: Shape, board: Board, mode: str) -> list[list[int]]:
 
 def _orbits(group: list[list[int]]) -> tuple[list[int], int]:
     """Mask of each placement's orbit under the group, and the mask of the
-    placements that are the least of their orbit.
+    placements that are the least of their orbit, in the search's numbering
+    (``_setup``): orbit[top - p] is the orbit of placement p.
 
     Placements are visited in index order, so the one that opens an orbit
     is its least member.  The lex-first maximal arrangement of any size
@@ -479,12 +510,14 @@ def _orbits(group: list[list[int]]) -> tuple[list[int], int]:
     same size whose least index is at most g(f) < f, so it comes
     lex-before: a contradiction.
     """
-    orbit = [0] * len(group[0])
+    top = len(group[0]) - 1
+    orbit = [0] * (top + 1)
     firsts = 0
-    for i, m in enumerate(orbit):
-        if not m:
-            firsts |= 1 << i
-            members = {g[i] for g in group}
+    for p in range(top + 1):
+        if not orbit[top - p]:
+            firsts |= 1 << (top - p)
+            members = {top - g[p] for g in group}
+            m = 0
             for j in members:
                 m |= 1 << j
             for j in members:
@@ -519,11 +552,12 @@ def greedy_upper_bound(shape: Shape, board: Board | None = None,
 
 
 def _setup(shape: Shape, board: Board, mode: str
-           ) -> tuple[int, tuple[list[int], list[int], list[int]], list[int], int]:
+           ) -> tuple[int, _Graph, list[int], int]:
     """The mask of all placements of an instance, its search graph, its
-    orbit masks and its orbit minima."""
+    orbit masks and its orbit minima, numbering placements from the end as
+    the module docstring says."""
     cells = _tables(shape, board, mode)[2]
-    return ((1 << len(cells)) - 1, _conflict_graph(cells),
+    return ((1 << len(cells)) - 1, _conflict_graph(cells[::-1]),
             *_orbits(_symmetry_group(shape, board, mode)))
 
 
@@ -583,6 +617,9 @@ def first_maximal_arrangement(shape: Shape, board: Board | None = None,
         board = default_board(shape)
     if size is None:
         return clumsy_number(shape, board, mode, node_budget=node_budget).witness
+    if size > board.n ** 2 // shape.size:
+        # No arrangement holds more disjoint pieces than the board has room for.
+        return None
     full, graph, _, firsts = _setup(shape, board, mode)
     budget = _Budget(node_budget, None)
     try:

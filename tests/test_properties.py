@@ -177,8 +177,9 @@ def test_orientation_is_read_off_rotate(shape, n):
 
 
 def reference_graph(shape, board, mode):
-    """(nbr, notnbr, notfar) from the placement masks: j is in nbr[i] when
-    the two placements meet, and in notfar[i] when no placement meets both."""
+    """(nbr, notnbr, notfar, bit) from the placement masks: j is in nbr[i]
+    when the two placements meet, and in notfar[i] when no placement meets
+    both; bit[i] is placement i alone."""
     masks = placement_masks(shape, board, mode)[1]
     full = (1 << len(masks)) - 1
     nbr = [sum(1 << j for j, b in enumerate(masks) if a & b) for a in masks]
@@ -189,7 +190,8 @@ def reference_graph(shape, board, mode):
             if a & b:
                 m |= nbr[c]
         far.append(m)
-    return nbr, [full ^ m for m in nbr], [full ^ m for m in far]
+    return (nbr, [full ^ m for m in nbr], [full ^ m for m in far],
+            [1 << i for i in range(len(masks))])
 
 
 @settings(SETTINGS, max_examples=150)
@@ -345,8 +347,9 @@ def test_packing_bound_is_a_lower_bound(instance):
 @example(1)
 @example(1 << 1088)
 @example((1 << 1089) - 1)
-def test_indices_are_the_set_bits_lowest_first(mask):
-    assert list(_indices(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+def test_indices_are_the_set_bits_highest_first(mask):
+    assert list(_indices(mask)) == [i for i in reversed(range(mask.bit_length()))
+                                    if mask >> i & 1]
 
 
 @SETTINGS
@@ -445,6 +448,26 @@ def test_budget_bracket_contains_cp(instance, node_budget):
         assert got == value
 
 
+@settings(SETTINGS, max_examples=150)
+@given(instances)
+def test_budget_at_the_node_count(instance):
+    # A narrowed node may count many nodes at once, but the count a solve
+    # reports is where a one-node-at-a-time search would stop: a budget of
+    # exactly that count runs the same solve, and one node less stops it
+    # there with a proved bracket.
+    want = clumsy_number(*instance)
+    nodes = want.nodes_explored
+    got = clumsy_number(*instance, node_budget=nodes)
+    assert ((got.clumsy_number, got.witness, got.nodes_explored)
+            == (want.clumsy_number, want.witness, nodes))
+    if nodes:
+        with pytest.raises(BudgetExceededError) as info:
+            clumsy_number(*instance, node_budget=nodes - 1)
+        err = info.value
+        assert err.nodes == nodes
+        assert err.lower <= want.clumsy_number <= err.upper
+
+
 def brute_complete(nbr, undom, allowed, need, exact):
     """Some independent set from ``allowed`` of exactly ``need`` placements
     (at most ``need`` unless ``exact``) that dominates ``undom``, found by
@@ -472,7 +495,7 @@ def test_complete_matches_brute_force(instance, data):
     # where narrowed nodes below the entry are common.
     cells = _tables(*instance)[2][:40]
     assume(cells)
-    nbr, notnbr, _ = graph = _conflict_graph(cells)
+    nbr, notnbr, _, _ = graph = _conflict_graph(cells)
     undom = (1 << len(cells)) - 1
     for i in data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=4)):
         if undom >> i & 1:

@@ -12,9 +12,12 @@ from clumsypack.solver import (BudgetExceededError, OracleGuardError, _Budget,
 
 
 def first_picks(shape, board, mode):
-    """Indices the lex-first witness may open at: the orbit minima."""
-    firsts = _orbits(_symmetry_group(shape, board, mode))[1]
-    return tuple(i for i in range(firsts.bit_length()) if firsts >> i & 1)
+    """Indices the lex-first witness may open at: the orbit minima.  The
+    masks number placements from the end, so placement i is bit top - i."""
+    group = _symmetry_group(shape, board, mode)
+    firsts = _orbits(group)[1]
+    top = len(group[0]) - 1
+    return tuple(sorted(top - j for j in range(firsts.bit_length()) if firsts >> j & 1))
 
 
 class TestStraights:
@@ -103,13 +106,16 @@ class TestLowerBound:
 # (shape, board, mode, cp, nodes) as the search counts them; any change to
 # what the search visits changes some count.  L(9,9) free on 19 opens at
 # k = 1, where the refuter's root tries its candidates one at a time and
-# forbids each refuted candidate's orbit.
+# forbids each refuted candidate's orbit.  The last two are the instances
+# the benchmark's 1M-node frontier pass closes.
 NODE_COUNTS = [
     (ell(9, 9), 19, "free", 2, 483),
     (ell(3, 6), 10, "free", 3, 970),
     (tee(1, 1), 7, "free", 6, 6243),
     (ell(1, 3), 8, "free", 6, 26924),
     (rect(2, 2), 9, "fixed", 9, 82),
+    (straight_v(4), 8, "free", 9, 174_627),
+    (ell(1, 2), 8, "free", 7, 109_109),
 ]
 
 # (shape, board, mode, node budget, lower, upper, nodes) of budget stops in
@@ -302,6 +308,14 @@ class TestFirstMaximal:
             first_maximal_arrangement(tee(1, 1), Board(7), "free", 7, node_budget=5)
         assert (info.value.nodes, info.value.lower, info.value.upper) == (6, 0, None)
 
+    @pytest.mark.parametrize("size", [10, 10 ** 9])
+    def test_size_past_the_board_area_is_none_at_once(self, size):
+        # Nine L(1,2) tetrominoes cover 36 cells, so no more fit on 6x6;
+        # no search runs, so no node is spent, and no list of ``size``
+        # picks is made.
+        assert first_maximal_arrangement(ell(1, 2), Board(6), "free", size,
+                                         node_budget=0) is None
+
     @pytest.mark.parametrize("size", [0, -1])
     def test_nonpositive_size_is_none_at_once(self, size):
         # placements exist, so no arrangement of this size is maximal; a
@@ -353,12 +367,16 @@ class TestSymmetry:
         group = _symmetry_group(shape, Board(n), mode)
         assert group[0] == list(range(len(group[0])))
         orbits, firsts = _orbits(group)
-        # The minima are the least member of each orbit.
-        assert firsts == sum({orbit & -orbit for orbit in orbits})
-        for orbit in orbits:
+        # The masks number placements from the end: placement i is bit
+        # top - i, and orbits[j] is the orbit of bit j.  So the minima are
+        # the highest bit of each orbit.
+        top = len(group[0]) - 1
+        assert firsts == sum({1 << (orbit.bit_length() - 1) for orbit in orbits})
+        for j, orbit in enumerate(orbits):
+            assert orbit >> j & 1
             for g in group:
                 moved = 0
                 for i in range(orbit.bit_length()):
                     if orbit >> i & 1:
-                        moved |= 1 << g[i]
+                        moved |= 1 << (top - g[top - i])
                 assert moved == orbit
