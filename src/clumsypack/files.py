@@ -83,18 +83,6 @@ class ArrangementFile(_Record):
         _set(self, "placements", placements)
         _set(self, "custom_cells", custom_cells)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return ((self.board_n, self.family, self.params, self.mode, self.placements,
-                     self.custom_cells)
-                    == (other.board_n, other.family, other.params, other.mode,
-                        other.placements, other.custom_cells))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.board_n, self.family, self.params, self.mode, self.placements,
-                     self.custom_cells))
-
 
 def from_arrangement(arrangement: Arrangement) -> ArrangementFile:
     """Describe an arrangement as a document, re-anchoring custom shapes.

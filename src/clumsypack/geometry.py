@@ -29,11 +29,24 @@ class _Record:
     """Base of the package's immutable records.
 
     A record names its fields in ``__slots__`` and sets them once, in its
-    ``__init__``, through ``object.__setattr__``.  Each record writes its
-    own ``__eq__`` and ``__hash__``.
+    ``__init__``, through ``object.__setattr__``.  Equality and hash, the
+    repr and pickling all follow from ``__slots__``: two records are equal
+    when they are of one class and their fields agree.  A class that
+    compares fewer fields names them in ``_compared``.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = operator.attrgetter(*getattr(cls, "_compared", cls.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -70,6 +83,7 @@ class Shape(_Record):
     """
 
     __slots__ = ("cells", "anchor", "family", "params")
+    _compared = ("cells", "anchor")
     cells: frozenset[Cell]
     anchor: Cell
     family: str
@@ -89,14 +103,6 @@ class Shape(_Record):
         _set(self, "anchor", anchor)
         _set(self, "family", family)
         _set(self, "params", params)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.cells, self.anchor) == (other.cells, other.anchor)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.cells, self.anchor))
 
     @property
     def size(self) -> int:

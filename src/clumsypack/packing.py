@@ -44,14 +44,6 @@ class Board(_Record):
             raise ValueError(f"board size must be positive, got {n}")
         _set(self, "n", n)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.n,) == (other.n,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n,))
-
     def __contains__(self, cell: Cell) -> bool:
         i, j = cell
         return 1 <= i <= self.n and 1 <= j <= self.n
@@ -71,26 +63,13 @@ class Placement(_Record):
     anchor_pos: Cell
 
     def __init__(self, rotation: int, anchor_pos: Cell) -> None:
-        # Only values that need it are rewritten: a bool or out-of-range
-        # rotation becomes an int in 0..3, any other anchor a Cell of two
-        # ints (_as_cell, whose test is repeated here to save the call).  A
-        # rotation or coordinate that is no integer (1.5, "1") raises
-        # TypeError.
+        # A bool or out-of-range rotation becomes an int in 0..3, and the
+        # anchor a Cell of two ints.  A rotation or coordinate that is no
+        # integer (1.5, "1") raises TypeError.
         if type(rotation) is not int or not 0 <= rotation <= 3:
             rotation = operator.index(rotation) % 4
-        if type(anchor_pos) is not Cell or type(anchor_pos[0]) is not int \
-                or type(anchor_pos[1]) is not int:
-            anchor_pos = _as_cell(anchor_pos)
         _set(self, "rotation", rotation)
-        _set(self, "anchor_pos", anchor_pos)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.rotation, self.anchor_pos) == (other.rotation, other.anchor_pos)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rotation, self.anchor_pos))
+        _set(self, "anchor_pos", _as_cell(anchor_pos))
 
 
 def cells_of(shape: Shape, placement: Placement) -> frozenset[Cell]:
@@ -116,15 +95,6 @@ class Arrangement(_Record):
         _set(self, "shape", shape)
         _set(self, "mode", _check_mode(mode))
         _set(self, "placements", tuple(placements))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return ((self.board, self.shape, self.mode, self.placements)
-                    == (other.board, other.shape, other.mode, other.placements))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.board, self.shape, self.mode, self.placements))
 
     @property
     def size(self) -> int:

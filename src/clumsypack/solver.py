@@ -114,16 +114,6 @@ class SolveResult(_Record):
         _set(self, "nodes_explored", nodes_explored)
         _set(self, "elapsed", elapsed)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return ((self.clumsy_number, self.witness, self.nodes_explored, self.elapsed)
-                    == (other.clumsy_number, other.witness, other.nodes_explored,
-                        other.elapsed))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.clumsy_number, self.witness, self.nodes_explored, self.elapsed))
-
 
 class _Budget:
     """Node and wall-clock budget shared across one solve call.
@@ -617,6 +607,8 @@ def first_maximal_arrangement(shape: Shape, board: Board | None = None,
         board = default_board(shape)
     if size is None:
         return clumsy_number(shape, board, mode, node_budget=node_budget).witness
+    _check_mode(mode)
+    size = operator.index(size)
     if size > board.n ** 2 // shape.size:
         # No arrangement holds more disjoint pieces than the board has room for.
         return None

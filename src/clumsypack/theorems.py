@@ -84,18 +84,6 @@ class Claim(_Record):
         _set(self, "mode", mode)
         _set(self, "construction", construction)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return ((self.params, self.hypothesis, self.hypothesis_text, self.value,
-                     self.instance, self.mode, self.construction)
-                    == (other.params, other.hypothesis, other.hypothesis_text,
-                        other.value, other.instance, other.mode, other.construction))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.params, self.hypothesis, self.hypothesis_text, self.value,
-                     self.instance, self.mode, self.construction))
-
 
 def _rect_fixed_value(a: int, b: int) -> int:
     return _ceil_div(a * b - a + 1, 2 * a - 1) * _ceil_div(a * b - b + 1, 2 * b - 1)
@@ -332,19 +320,6 @@ class TheoremReport(_Record):
         _set(self, "construction_ok", construction_ok)
         _set(self, "solver_value", solver_value)
         _set(self, "consistent", consistent)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return ((self.theorem, self.params, self.formula_value, self.construction,
-                     self.construction_ok, self.solver_value, self.consistent)
-                    == (other.theorem, other.params, other.formula_value,
-                        other.construction, other.construction_ok, other.solver_value,
-                        other.consistent))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.theorem, self.params, self.formula_value, self.construction,
-                     self.construction_ok, self.solver_value, self.consistent))
 
 
 def check_theorem(theorem: TheoremId, params: tuple[int, ...],

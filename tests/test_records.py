@@ -1,6 +1,7 @@
 """The contract every immutable record keeps: equality and hash on its
 fields, no assignment or deletion, copies and pickles equal to the
-original, and a repr that names each field."""
+original, and a repr that names each field.  Equality and hash are
+defined once, in the records' common base, ``geometry._Record``."""
 
 import copy
 import pickle
@@ -77,6 +78,11 @@ def test_each_field_takes_part_in_equality(record):
             assert changed == base and hash(changed) == hash(base)
         else:
             assert changed != base
+
+
+def test_equality_and_hash_come_from_the_base(record):
+    cls = record[0]
+    assert "__eq__" not in cls.__dict__ and "__hash__" not in cls.__dict__
 
 
 def test_fields_cannot_be_assigned_or_deleted(record):

@@ -316,6 +316,16 @@ class TestFirstMaximal:
         assert first_maximal_arrangement(ell(1, 2), Board(6), "free", size,
                                          node_budget=0) is None
 
+    def test_size_past_the_board_area_still_checks_the_mode(self):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            first_maximal_arrangement(ell(1, 2), Board(6), "Fixed", 10 ** 9)
+
+    @pytest.mark.parametrize("size", [2.0, 10.0])
+    def test_size_that_is_no_integer_raises_at_once(self, size):
+        # Past the board area as below it, before any search is set up.
+        with pytest.raises(TypeError):
+            first_maximal_arrangement(ell(1, 2), Board(6), "free", size, node_budget=0)
+
     @pytest.mark.parametrize("size", [0, -1])
     def test_nonpositive_size_is_none_at_once(self, size):
         # placements exist, so no arrangement of this size is maximal; a
