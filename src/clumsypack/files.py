@@ -7,12 +7,14 @@ Deserializing a serialized arrangement reproduces it exactly; the one
 normalization applied on write is that custom shapes are re-anchored to
 their lexicographically least cell, with placements shifted to compensate,
 so equal cell sets always serialize the same way.  A shape that its family
-and parameters do not rebuild is refused on write.
+and parameters do not rebuild is refused on write.  ``ArrangementFile``
+holds each row as a (rotation, anchor_col, anchor_row) triple, so it hashes;
+rows are mappings only in the parsed body that ``_document`` checks.
 
 Every file is written without PyYAML: ``dumps`` prints the document with
 f-strings, byte for byte what PyYAML's safe representer writes for the same
 body in key order.  It refuses any document ``loads`` would refuse, by running
-the same check (``_document``) on that body.  PyYAML only reads.  ``loads``
+the same check (``_document``) on its body.  PyYAML only reads.  ``loads``
 reads the layout ``dumps`` writes for a named family with one regular
 expression (``_parse_canonical``): the five keys in order, block lists or
 ``[]``, rows of exactly rotation, anchor_col and anchor_row, and integers in
@@ -70,11 +72,11 @@ class ArrangementFile(_Record):
     family: str
     params: tuple[int, ...]
     mode: str
-    placements: tuple[dict, ...]
+    placements: tuple[tuple[int, int, int], ...]
     custom_cells: tuple[Cell, ...] | None
 
     def __init__(self, board_n: int, family: str, params: tuple[int, ...], mode: str,
-                 placements: tuple[dict, ...],
+                 placements: tuple[tuple[int, int, int], ...],
                  custom_cells: tuple[Cell, ...] | None = None) -> None:
         _set(self, "board_n", board_n)
         _set(self, "family", family)
@@ -115,9 +117,7 @@ def from_arrangement(arrangement: Arrangement) -> ArrangementFile:
                 Cell(p.anchor_pos.col + a_new.col - a_old.col,
                      p.anchor_pos.row + a_new.row - a_old.row)))
         placements = tuple(fixed)
-    rows = tuple({"rotation": p.rotation,
-                  "anchor_col": p.anchor_pos.col,
-                  "anchor_row": p.anchor_pos.row} for p in placements)
+    rows = tuple((p.rotation, p.anchor_pos.col, p.anchor_pos.row) for p in placements)
     return ArrangementFile(arrangement.board.n, shape.family,
                            tuple(shape.params), arrangement.mode, rows,
                            custom_cells)
@@ -125,9 +125,7 @@ def from_arrangement(arrangement: Arrangement) -> ArrangementFile:
 
 def to_arrangement(doc: ArrangementFile) -> Arrangement:
     shape = make_shape(doc.family, doc.params, custom_cells=doc.custom_cells)
-    placements = tuple(
-        Placement(row["rotation"], Cell(row["anchor_col"], row["anchor_row"]))
-        for row in doc.placements)
+    placements = tuple(Placement(r, Cell(c, w)) for r, c, w in doc.placements)
     return Arrangement(Board(doc.board_n), shape, doc.mode, placements)
 
 
@@ -136,22 +134,22 @@ def dumps(doc: ArrangementFile) -> str:
     writes for the same body in key order.
 
     Raises FileFormatError for any document ``loads`` would refuse, found by
-    running the same check on the body PyYAML would write.
+    running the same check on the document's body.
     """
     body = {"board_n": doc.board_n, "family": doc.family, "params": list(doc.params),
             "mode": doc.mode, "placements": list(doc.placements)}
     if doc.custom_cells is not None:
         body["custom_cells"] = [list(cell) for cell in doc.custom_cells]
     try:
-        _document(body)
+        rows = _document(body).placements
     except FileFormatError as exc:
         raise FileFormatError(f"cannot write the document: {exc}") from None
     # The check leaves ints, a family name and a mode, which YAML prints as
     # they are, and a custom shape with at least one cell.
     params = "".join(f"\n- {p}" for p in doc.params) or " []"
     placements = "".join(
-        f"\n- rotation: {row['rotation']}\n  anchor_col: {row['anchor_col']}"
-        f"\n  anchor_row: {row['anchor_row']}" for row in doc.placements) or " []"
+        f"\n- rotation: {r}\n  anchor_col: {c}\n  anchor_row: {w}"
+        for r, c, w in rows) or " []"
     text = (f"board_n: {doc.board_n}\nfamily: {doc.family}\nparams:{params}\n"
             f"mode: {doc.mode}\nplacements:{placements}\n")
     if doc.custom_cells is not None:
@@ -190,8 +188,9 @@ _ROW_KEYS = {"rotation", "anchor_col", "anchor_row"}
 
 
 def _document(body) -> ArrangementFile:
-    """The document a parsed body holds; raises FileFormatError for the
-    first value that breaks the format."""
+    """The document a body holds, its rows parsed mappings or, from
+    ``dumps``, the record's triples; raises FileFormatError for the first
+    value that breaks the format."""
     if not isinstance(body, dict):
         raise FileFormatError("top level must be a mapping")
     allowed = {"board_n", "family", "params", "mode", "placements", "custom_cells"}
@@ -224,22 +223,26 @@ def _document(body) -> ArrangementFile:
     placements = body["placements"]
     if not isinstance(placements, list):
         raise FileFormatError("placements must be a list")
+    rows = []
     for i, row in enumerate(placements, start=1):
-        # One test passes a valid row; only a failing row is taken apart
-        # to say what is wrong with it.
-        if (type(row) is dict and row.keys() == _ROW_KEYS
-                and type(row["rotation"]) is int and type(row["anchor_col"]) is int
-                and type(row["anchor_row"]) is int and 0 <= row["rotation"] <= 3):
-            continue
-        if type(row) is not dict or row.keys() != _ROW_KEYS:
+        if type(row) is dict and row.keys() == _ROW_KEYS:
+            row = (row["rotation"], row["anchor_col"], row["anchor_row"])
+        elif type(row) is not tuple or len(row) != 3:
             raise FileFormatError(
                 f"placement {i} must have exactly the keys rotation, "
                 "anchor_col, anchor_row")
-        rotation = _need_int(row["rotation"], f"placement {i} rotation")
+        rows.append(row)
+        rotation, col, r = row
+        # One test passes a valid row; only a failing row is taken apart
+        # to say what is wrong with it.
+        if (type(rotation) is int and type(col) is int and type(r) is int
+                and 0 <= rotation <= 3):
+            continue
+        rotation = _need_int(rotation, f"placement {i} rotation")
         if not 0 <= rotation <= 3:
             raise FileFormatError(f"placement {i} rotation must be in 0..3, got {rotation}")
-        _need_int(row["anchor_col"], f"placement {i} anchor_col")
-        _need_int(row["anchor_row"], f"placement {i} anchor_row")
+        _need_int(col, f"placement {i} anchor_col")
+        _need_int(r, f"placement {i} anchor_row")
 
     custom_cells: tuple[Cell, ...] | None = None
     if family == "custom":
@@ -270,8 +273,8 @@ def _document(body) -> ArrangementFile:
         make_shape(family, params, custom_cells=custom_cells)
     except ValueError as exc:
         raise FileFormatError(f"shape parameters invalid: {exc}") from None
-    return ArrangementFile(board_n, family, params, mode, tuple(placements),
-                           custom_cells)
+    return ArrangementFile(board_n, family, params, mode,
+                           tuple(rows), custom_cells)
 
 
 def loads(text: str) -> ArrangementFile:

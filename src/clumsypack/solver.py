@@ -14,17 +14,18 @@ more members than picks left the node is dead.  Below the entry, with as
 many members as picks left, the node is narrowed: each pick dominates
 exactly one member.  An undominated placement that shares no dominator with
 any other member is private to its member: only that member's pick can
-dominate it.  A pass back over the walk gives each member its private
-placements, and a pass forward, in walk order, gives each member its
-candidates: its allowed dominators, narrowed bit-parallel by the dominators
-of each of its other private placements.  A member left with none kills
-the node; otherwise the picks narrow to the union of these sets and the
-branch is on the first member with the fewest.  Otherwise, the entry
-included, the branch is on the undominated placement with the fewest
-allowed dominators, scanned lowest first; the scan lists the undominated
-placements from the mask's binary string in C (``_indices``).  A refuted
-candidate is forbidden to its later siblings, and the loop runs on an
-explicit stack, so no depth meets Python's recursion limit.
+dominate it.  One pass back over the walk gives each member, last first,
+its private placements and then its candidates: its allowed dominators,
+narrowed bit-parallel by the dominators of its other private placements.
+A member left with none kills the node and ends the pass, so the last such
+member in walk order kills it; otherwise the picks narrow to the union of
+these sets and the branch is on the first member with the fewest.
+Otherwise, the entry included, the branch is on the undominated placement
+with the fewest allowed dominators, scanned lowest first; the scan lists
+the undominated placements from the mask's binary string in C
+(``_indices``).  A refuted candidate is forbidden to its later siblings,
+and the loop runs on an explicit stack, so no depth meets Python's
+recursion limit.
 
 The search numbers placements from the end: of P placements, placement i
 is bit P - 1 - i.  So the lowest placement in a mask is its highest bit,
@@ -263,7 +264,8 @@ def _complete(graph: _Graph, undom: int, allowed: int,
     The entry is not: it is the caller's candidate, or the refuter's root.
     At a narrowed node, each candidate that a member's private placements
     reject counts as a node: the branch member's rejected ones, or every
-    candidate of the first member left with none.  The entry is never
+    candidate of the last member, in walk order, left with none.  The
+    entry is never
     narrowed, so that with ``orbits`` its candidates are tried one at a
     time: the entry is then the refuter's root, whose placement set the
     symmetry group maps onto itself, and each candidate tried forbids its
@@ -310,23 +312,21 @@ def _complete(graph: _Graph, undom: int, allowed: int,
             if not r:
                 best, fewest = 0, most
                 if j == left and d >= 0:
-                    # Each pick dominates exactly one member.  rs[t] & after
-                    # holds the placements private to ws[t]: ws[t] itself,
-                    # its highest bit, and those that share no dominator
-                    # with another member.  Only ws[t]'s pick can dominate
-                    # them, so its candidates are first, its allowed
-                    # dominators, narrowed by the others.
-                    after = -1
+                    # Each pick dominates exactly one member.  Last member
+                    # first, after drops what shares a dominator with a
+                    # later one, so rs[t] & after holds the placements
+                    # private to ws[t]: ws[t] itself, its highest bit, and
+                    # those that share no dominator with another member.
+                    # Only ws[t]'s pick can dominate them, so its candidates
+                    # are first, its allowed dominators, narrowed by them.
+                    after, cover = -1, 0
                     t = left
                     while t:
                         t -= 1
-                        rs[t] &= after
-                        after &= notfar[ws[t]]
-                    cover = 0
-                    while t < left:
                         w = ws[t]
+                        priv = (rs[t] & after) ^ bit[w]
+                        after &= notfar[w]
                         b = first = a2 & nbr[w]
-                        priv = rs[t] ^ bit[w]
                         while priv and b:
                             k = priv.bit_length() - 1
                             b &= nbr[k]
@@ -336,10 +336,10 @@ def _complete(graph: _Graph, undom: int, allowed: int,
                             best, fewest, top = 0, 0, first
                             break
                         count = b.bit_count()
-                        if count < fewest:
+                        # A tie goes to the lower member, met later.
+                        if count <= fewest:
                             best, fewest, top = b, count, first
                         cover |= b
-                        t += 1
                     # Each rejected candidate of the branch member, or of
                     # the member that kills the node (top is its first), is
                     # a node.
@@ -594,19 +594,14 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
     return SolveResult(k, witness, budget.nodes, time.monotonic() - start)
 
 
-def first_maximal_arrangement(shape: Shape, board: Board | None = None,
-                              mode: str = "free", size: int | None = None,
+def first_maximal_arrangement(shape: Shape, board: Board, mode: str, size: int,
                               *, node_budget: int = DEFAULT_NODE_BUDGET
                               ) -> Arrangement | None:
-    """Lex-first maximal arrangement of exactly the given size, or None.
+    """Lex-first maximal arrangement of exactly ``size`` placements, or None.
 
-    With size omitted this is just the witness of the full solve.
+    At size cp this is the witness ``clumsy_number`` returns.
     """
     _check_budget(node_budget)
-    if board is None:
-        board = default_board(shape)
-    if size is None:
-        return clumsy_number(shape, board, mode, node_budget=node_budget).witness
     _check_mode(mode)
     size = operator.index(size)
     if size > board.n ** 2 // shape.size:

@@ -407,10 +407,8 @@ def build_example(name: str) -> Arrangement:
                             Placement(0, Cell(3, 4)),
                             Placement(0, Cell(7, 4))))
     if name == "L27":
-        arr = first_maximal_arrangement(ell(2, 7), Board(10), "free", 4)
-        if arr is None:
-            raise ConstructionError("no size-4 maximal arrangement of L(2,7) on 10x10")
-        return arr
+        # The search is deterministic and finds one, so this is never None.
+        return first_maximal_arrangement(ell(2, 7), Board(10), "free", 4)
     if name == "T43":
         return Arrangement(Board(12), tee(4, 3), "free",
                            (Placement(0, Cell(5, 4)),

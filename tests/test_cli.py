@@ -433,8 +433,8 @@ class TestParserReuse:
         assert "invalid int value: 'x'" in usage_err
         assert budget_code == 3 and budget_out[0].endswith("cp in [4, 9]")
         # The default budget comes back after a call that set its own.
-        assert cli.DEFAULT_NODE_BUDGET > 6243
-        assert (code, out[:2]) == (0, ["cp = 6", "nodes = 6243"])
+        assert cli.DEFAULT_NODE_BUDGET > 6426
+        assert (code, out[:2]) == (0, ["cp = 6", "nodes = 6426"])
         assert self.run_all(run_cli) == first
         assert cli._build_parser() is parser
         assert cli._build_parser.cache_info().misses == misses

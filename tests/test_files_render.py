@@ -148,8 +148,11 @@ class TestLoadErrors:
                                         "anchor_row": 1}]),
         lambda d: d.update(placements=[{"rotation": 0, "anchor_col": 1}]),
         lambda d: d.update(placements=[{"rotation": 0, "anchor_col": 1,
+                                        "anchor_row": "one"}]),
+        lambda d: d.update(placements=[{"rotation": 0, "anchor_col": 1,
                                         "anchor_row": 1, "color": "red"}]),
         lambda d: d.update(custom_cells=[[1, 1]]),  # only for custom family
+        lambda d: d.update(family="custom", params=[], custom_cells=[[1, 1], [2]]),
     ])
     def test_rejected(self, mutate):
         doc = self.base()
@@ -262,8 +265,7 @@ def raw_docs(draw):
     return ArrangementFile(
         draw(value), family, tuple(draw(st.lists(value, max_size=4))),
         draw(st.sampled_from(("fixed", "free"))),
-        tuple({"rotation": r, "anchor_col": c, "anchor_row": w} for r, c, w in rows),
-        cells)
+        tuple(rows), cells)
 
 
 def load_outcome(text):
@@ -277,7 +279,8 @@ def pyyaml_text(doc):
     """PyYAML's text of the body dumps writes for doc."""
     body = {"board_n": doc.board_n, "family": doc.family,
             "params": list(doc.params), "mode": doc.mode,
-            "placements": [dict(row) for row in doc.placements]}
+            "placements": [dict(zip(("rotation", "anchor_col", "anchor_row"), row))
+                           if len(row) == 3 else list(row) for row in doc.placements]}
     if doc.custom_cells is not None:
         body["custom_cells"] = [[c.col, c.row] for c in doc.custom_cells]
     return yaml.safe_dump(body, sort_keys=False)
@@ -301,8 +304,8 @@ class TestCanonicalReader:
             # text of it is read, so invalid canonical texts are compared too.
             text = pyyaml_text(doc)
         assert load_outcome(text) == pyyaml_outcome(text)
-        if doc.family != "custom" and all(type(row["rotation"]) is int
-                                          for row in doc.placements):
+        if doc.family != "custom" and all(type(r) is int
+                                          for r, _, _ in doc.placements):
             # A named family's ints, valid or not, are in the layout save
             # writes, and take the direct route.
             assert files._parse_canonical(text) == yaml.safe_load(text)
@@ -387,10 +390,6 @@ class TestCanonicalReader:
         assert load_outcome(text) == pyyaml_outcome(text)
 
 
-def _row(r, c, w):
-    return {"rotation": r, "anchor_col": c, "anchor_row": w}
-
-
 odd_values = st.one_of(st.integers(-5, 5), st.booleans(), st.none(),
                        st.floats(), st.text(max_size=3))
 
@@ -408,25 +407,25 @@ def odd_docs(draw):
     return ArrangementFile(
         draw(odd_values), family, tuple(draw(st.lists(odd_values, max_size=3))),
         draw(st.sampled_from((*MODES, "on", "Free", ""))),
-        tuple(_row(*row) for row in rows), cells)
+        tuple(rows), cells)
 
 
 class TestWriter:
     @SETTINGS
     @given(st.one_of(arrangement_docs(), raw_docs(), odd_docs()))
-    @example(ArrangementFile(4, "L", (1, 2), "free", (_row(True, 1, 1), _row(0, 2, 2))))
+    @example(ArrangementFile(4, "L", (1, 2), "free", ((True, 1, 1), (0, 2, 2))))
     @example(ArrangementFile(-7, "T", (-1, 10**30), "fixed",
-                             (_row(-2, -40, 10**20), _row(0, 0, -1))))
+                             ((-2, -40, 10**20), (0, 0, -1))))
     @example(ArrangementFile(3, "plus", (), "free", ()))
     @example(ArrangementFile(True, "rect", (1, 2), "free", ()))
     @example(ArrangementFile(4, "rect", (True, 2), "free", ()))
-    @example(ArrangementFile(5, "L", (1, 1), "on", (_row(0, 1, 1),)))
-    @example(ArrangementFile(5, "custom", (), "free", (_row(0, 1, 1),),
+    @example(ArrangementFile(5, "L", (1, 1), "on", ((0, 1, 1),)))
+    @example(ArrangementFile(5, "custom", (), "free", ((0, 1, 1),),
                              (Cell(1, 1), Cell(2, 1))))
     @example(ArrangementFile(5, "custom", (3,), "free", (), ()))
     @example(ArrangementFile(5, "custom", (), "free", (), (Cell(1, True),)))
-    @example(ArrangementFile(5, "custom", (), "free", (_row(0, 1, 1),), ()))
-    @example(ArrangementFile(5, "custom", (), "free", (_row(0, 1, 1),),
+    @example(ArrangementFile(5, "custom", (), "free", ((0, 1, 1),), ()))
+    @example(ArrangementFile(5, "custom", (), "free", ((0, 1, 1),),
                              (Cell(1, 1), Cell(2, 1), Cell(1, 1))))
     @example(ArrangementFile(5, "foo", (), "free", ()))
     def test_matches_pyyaml(self, doc):
@@ -443,20 +442,21 @@ class TestWriter:
                                           + outcome.removeprefix("FileFormatError: "))
 
     # Documents an earlier writer wrote though loads refuses them, or wrote
-    # without a field, or failed on with a KeyError.
+    # without a field, and rows that are no triple.
     @pytest.mark.parametrize("doc,reason", [
         (ArrangementFile(4, "L", (5,), "free", ()),
          "shape parameters invalid: family 'L' takes 2 parameter(s), got 1"),
         (ArrangementFile(0, "L", (1, 2), "free", ()), "board_n must be positive, got 0"),
-        (ArrangementFile(4, "L", (1, 2), "free", (_row(7, 1, 1),)),
+        (ArrangementFile(4, "L", (1, 2), "free", ((7, 1, 1),)),
          "placement 1 rotation must be in 0..3, got 7"),
         (ArrangementFile(4, "custom", (2,), "free", (), (Cell(1, 1),)),
          "shape parameters invalid: family 'custom' takes no parameters, got 1"),
         (ArrangementFile(4, "L", (1, 2), "free", (), (Cell(1, 1),)),
          "custom_cells is only allowed for family custom"),
-        (ArrangementFile(4, "L", (1, 2), "free", (_row(0, 1, 1) | {"color": "red"},)),
+        # A row of other than three values is written as a list.
+        (ArrangementFile(4, "L", (1, 2), "free", ((0, 1, 1, "red"),)),
          "placement 1 must have exactly the keys rotation, anchor_col, anchor_row"),
-        (ArrangementFile(4, "L", (1, 2), "free", ({"rotation": 0, "anchor_col": 1},)),
+        (ArrangementFile(4, "L", (1, 2), "free", ((0, 1),)),
          "placement 1 must have exactly the keys rotation, anchor_col, anchor_row"),
     ], ids=["L params (5,)", "board 0", "rotation 7", "custom params (2,)",
             "custom cells on L", "fourth row key", "no anchor_row"])
@@ -521,15 +521,14 @@ for argv in (["solve", "--family", "L", "--params", "3,6", "--out", "l36.yaml"],
 assert "yaml" not in sys.modules, "a named-family route or a save loaded PyYAML"
 docs = [files.loads(pathlib.Path(name).read_text()) for name in ("c.yaml", "r.yaml")]
 assert "yaml" in sys.modules
-row = {"rotation": 0, "anchor_col": 1, "anchor_row": 1}
 assert docs == [
-    files.ArrangementFile(4, "custom", (), "free", (row,),
+    files.ArrangementFile(4, "custom", (), "free", ((0, 1, 1),),
                           (Cell(1, 1), Cell(2, 1), Cell(1, 2))),
-    files.ArrangementFile(10, "L", (3, 6), "free", (row | {"anchor_col": 2},)),
+    files.ArrangementFile(10, "L", (3, 6), "free", ((0, 2, 1),)),
 ], docs
 saved = files.loads(pathlib.Path("s.yaml").read_text())
 assert saved == files.ArrangementFile(
-    3, "custom", (), "free", (row, row | {"anchor_col": 2, "anchor_row": 2}),
+    3, "custom", (), "free", ((0, 1, 1), (0, 2, 2)),
     (Cell(1, 1), Cell(1, 2), Cell(2, 1))), saved
 """
 

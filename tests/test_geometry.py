@@ -110,6 +110,9 @@ class TestConstructorErrors:
     def test_empty_shape(self):
         with pytest.raises(ValueError):
             custom([])
+        # custom() refuses an empty list before it builds a Shape.
+        with pytest.raises(ValueError, match="^a shape needs at least one cell$"):
+            Shape(frozenset(), Cell(1, 1))
 
     @pytest.mark.parametrize("cells,anchor", [
         ({(1.0, 1), (2, 1)}, (1, 1)),

@@ -8,10 +8,10 @@ import pickle
 
 import pytest
 
-from clumsypack.files import ArrangementFile
+from clumsypack.files import ArrangementFile, dumps, from_arrangement, loads
 from clumsypack.geometry import Cell, Shape, ell, tee
 from clumsypack.packing import Arrangement, Board, Placement
-from clumsypack.solver import SolveResult
+from clumsypack.solver import SolveResult, clumsy_number
 from clumsypack.theorems import Claim, TheoremId, TheoremReport
 
 _ARR = Arrangement(Board(4), ell(1, 1), "free", (Placement(0, Cell(1, 1)),))
@@ -41,9 +41,8 @@ RECORDS = [
      (TheoremId.RECT_FIXED, (2, 3), (1, 2), None, None, None, False)),
     (ArrangementFile, ("board_n", "family", "params", "mode", "placements",
                        "custom_cells"),
-     (4, "L", (1, 1), "free", (), None),
-     (5, "custom", (), "fixed", ({"rotation": 0, "anchor_col": 1, "anchor_row": 1},),
-      (Cell(1, 1),))),
+     (4, "L", (1, 1), "free", ((0, 1, 1),), None),
+     (5, "custom", (), "fixed", (), (Cell(1, 1),))),
 ]
 
 # Metadata that Shape leaves out of equality and hash.
@@ -113,3 +112,10 @@ def test_repr_names_every_field(record):
     assert text.startswith(f"{cls.__name__}(") and text.endswith(")")
     for name, value in zip(fields, values):
         assert f"{name}={value!r}" in text
+
+
+def test_file_of_a_witness_hashes():
+    # Its rows are int triples, so the record hashes like the others.
+    doc = from_arrangement(clumsy_number(ell(1, 2), Board(6), "free").witness)
+    assert doc.placements
+    assert hash(doc) == hash(loads(dumps(doc)))

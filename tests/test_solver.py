@@ -111,11 +111,11 @@ class TestLowerBound:
 NODE_COUNTS = [
     (ell(9, 9), 19, "free", 2, 483),
     (ell(3, 6), 10, "free", 3, 970),
-    (tee(1, 1), 7, "free", 6, 6243),
-    (ell(1, 3), 8, "free", 6, 26924),
+    (tee(1, 1), 7, "free", 6, 6426),
+    (ell(1, 3), 8, "free", 6, 26660),
     (rect(2, 2), 9, "fixed", 9, 82),
-    (straight_v(4), 8, "free", 9, 174_627),
-    (ell(1, 2), 8, "free", 7, 109_109),
+    (straight_v(4), 8, "free", 9, 173_727),
+    (ell(1, 2), 8, "free", 7, 110_980),
 ]
 
 # (shape, board, mode, node budget, lower, upper, nodes) of budget stops in
