@@ -9,7 +9,7 @@ their lexicographically least cell, with placements shifted to compensate,
 so equal cell sets always serialize the same way.  A shape that its family
 and parameters do not rebuild is refused on write.  ``ArrangementFile``
 holds each row as a (rotation, anchor_col, anchor_row) triple, so it hashes;
-rows are mappings only in the parsed body that ``_document`` checks.
+rows are mappings only in the body PyYAML reads, which ``_document`` checks.
 
 Every file is written without PyYAML: ``dumps`` prints the document with
 f-strings, byte for byte what PyYAML's safe representer writes for the same
@@ -18,9 +18,9 @@ the same check (``_document``) on its body.  PyYAML only reads.  ``loads``
 reads the layout ``dumps`` writes for a named family with one regular
 expression (``_parse_canonical``): the five keys in order, block lists or
 ``[]``, rows of exactly rotation, anchor_col and anchor_row, and integers in
-plain decimal.  It gives the values PyYAML would.  Any other text, custom
-shapes' files included, goes through PyYAML, imported on first use, and both
-routes end in ``_document``.
+plain decimal.  It gives the values PyYAML would, each row as a triple.
+Any other text, custom shapes' files included, goes through PyYAML,
+imported on first use, and both routes end in ``_document``.
 """
 
 from __future__ import annotations
@@ -160,7 +160,8 @@ def dumps(doc: ArrangementFile) -> str:
 
 def _parse_canonical(text: str) -> dict | None:
     """What ``yaml.load`` gives for a text in the layout ``dumps`` writes for
-    a named family, or None for any other text."""
+    a named family, with each row as a (rotation, anchor_col, anchor_row)
+    triple, or None for any other text."""
     match = _CANONICAL.fullmatch(text)
     if match is None:
         return None
@@ -173,8 +174,8 @@ def _parse_canonical(text: str) -> dict | None:
         "family": family,
         "params": [int(p) for p in (params or "").split()[1::2]],
         "mode": mode,
-        "placements": [{"rotation": int(r), "anchor_col": int(c), "anchor_row": int(w)}
-                       for r, c, w in zip(words[2::7], words[4::7], words[6::7])],
+        "placements": list(zip(map(int, words[2::7]), map(int, words[4::7]),
+                               map(int, words[6::7]))),
     }
 
 
@@ -188,9 +189,8 @@ _ROW_KEYS = {"rotation", "anchor_col", "anchor_row"}
 
 
 def _document(body) -> ArrangementFile:
-    """The document a body holds, its rows parsed mappings or, from
-    ``dumps``, the record's triples; raises FileFormatError for the first
-    value that breaks the format."""
+    """The document a body holds, its rows PyYAML's mappings or triples;
+    raises FileFormatError for the first value that breaks the format."""
     if not isinstance(body, dict):
         raise FileFormatError("top level must be a mapping")
     allowed = {"board_n", "family", "params", "mode", "placements", "custom_cells"}

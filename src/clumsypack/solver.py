@@ -29,8 +29,8 @@ recursion limit.
 
 The search numbers placements from the end: of P placements, placement i
 is bit P - 1 - i.  So the lowest placement in a mask is its highest bit,
-which ``int.bit_length`` finds without making a new int.  ``_setup``
-builds the graph and orbit masks this way, and ``_lex_first`` returns
+which ``int.bit_length`` finds without making a new int.  ``_Search``
+holds the graph and orbit masks this way, and ``_lex_first`` returns
 placement indices.  Lowest, first and above mean placement order.
 
 The refuter calls the loop on the whole graph for k = start, start + 1,
@@ -52,8 +52,10 @@ yields the minima.  ``first_maximal_arrangement`` uses it at any size.
 
 A node is one candidate tested, in either phase, plus, at each narrowed
 node, the candidates its private placements reject: the branch member's, or
-all of those of the member that kills the node.  The node and time budgets
-are checked as nodes are counted, so they hold in both phases.
+all of those of the member that kills the node.  One ``_Search`` per solve
+carries the graph, the orbit masks, the proven bracket and the node and
+time budgets, which are checked as nodes are counted, so they hold in both
+phases.
 
 A second, deliberately naive oracle recomputes small instances straight from
 the definition so the two routes can be compared in tests.
@@ -116,17 +118,29 @@ class SolveResult(_Record):
         _set(self, "elapsed", elapsed)
 
 
-class _Budget:
-    """Node and wall-clock budget shared across one solve call.
+class _Search:
+    """The state of one solve, shared by its refuter and witness phases.
 
-    The search keeps its node count in a local variable and calls ``spend``
-    only once that count reaches ``stop``, so a node costs one comparison.
+    ``cells`` are the placements' cell bits (``_tables(...)[2]``) and
+    ``group`` their symmetry maps (``_symmetry_group``).  The conflict graph
+    (``_conflict_graph``), the orbit masks and the orbit minima (``_orbits``)
+    number placements from the end, as the module docstring says.  ``lower``
+    and ``upper`` are the bracket proved so far, which a budget stop
+    reports.  The search keeps its node count in a local variable and calls
+    ``spend`` only once that count reaches ``stop``, so a node costs one
+    comparison.
     """
 
-    __slots__ = ("node_budget", "deadline", "nodes", "stop")
+    __slots__ = ("nbr", "notnbr", "notfar", "bit", "orbit", "firsts",
+                 "lower", "upper", "node_budget", "deadline", "nodes", "stop")
 
-    def __init__(self, node_budget: int, time_budget: float | None):
+    def __init__(self, cells: tuple[tuple[int, ...], ...], group: list[list[int]],
+                 node_budget: int, time_budget: float | None = None):
+        self.nbr, self.notnbr, self.notfar, self.bit = _conflict_graph(cells[::-1])
+        self.orbit, self.firsts = _orbits(group)
+        self.lower, self.upper = 0, None
         self.node_budget = node_budget
+        # The clock starts once the graph is built.
         self.deadline = None if time_budget is None else time.monotonic() + time_budget
         self.nodes = 0
         # Reading the clock at node 1 lets a spent deadline stop a small solve.
@@ -134,7 +148,7 @@ class _Budget:
 
     def spend(self, amount: int) -> int:
         """Count ``amount`` more nodes and return the new ``stop``; raise
-        _BudgetSignal past either budget.
+        BudgetExceededError past either budget.
 
         One call may add many nodes, so the clock is read each time the
         count crosses a multiple of 4096 (and at node 1), not on exact
@@ -145,16 +159,12 @@ class _Budget:
             if self.nodes > self.node_budget:
                 # Where a search spending one node at a time would have stopped.
                 self.nodes = self.node_budget + 1
-                raise _BudgetSignal
+                raise BudgetExceededError(self.lower, self.upper, self.nodes)
             # Only a deadline sets stop below node_budget + 1.
             self.stop = min((self.nodes | 4095) + 1, self.node_budget + 1)
             if time.monotonic() > self.deadline:
-                raise _BudgetSignal
+                raise BudgetExceededError(self.lower, self.upper, self.nodes)
         return self.stop
-
-
-class _BudgetSignal(Exception):
-    pass
 
 
 def _check_budget(node_budget: int, time_budget: float | None = None) -> None:
@@ -167,16 +177,13 @@ def _check_budget(node_budget: int, time_budget: float | None = None) -> None:
                          f"got {time_budget}")
 
 
-# (nbr, notnbr, notfar, bit), as ``_conflict_graph`` builds them.
-_Graph = tuple[list[int], list[int], list[int], list[int]]
-
-
-def _conflict_graph(cells: tuple[tuple[int, ...], ...]) -> _Graph:
+def _conflict_graph(cells: tuple[tuple[int, ...], ...]
+                    ) -> tuple[list[int], list[int], list[int], list[int]]:
     """The (nbr, notnbr, notfar, bit) lists of masks over the indices of
     ``cells`` that the search reads.
 
     ``cells[i]`` lists the cell bits of placement i (``_tables(...)[2]``,
-    which ``_setup`` hands over reversed).  bit[i] is 1 << i, read from a
+    which ``_Search`` hands over reversed).  bit[i] is 1 << i, read from a
     list because a shift makes a new int.
 
     nbr[i] holds the placements whose cells meet placement i; every
@@ -245,18 +252,17 @@ def _indices(mask: int) -> Iterator[int]:
                               bin(mask)[2:].encode().translate(_BITS))
 
 
-def _complete(graph: _Graph, undom: int, allowed: int,
-              need: int, exact: bool, budget: _Budget, orbits: list[int] | None = None
-              ) -> tuple[tuple[int, ...], int] | None:
+def _complete(s: _Search, undom: int, allowed: int, need: int, exact: bool,
+              orbits: list[int] | None = None) -> tuple[tuple[int, ...], int] | None:
     """Can at most ``need`` independent picks from ``allowed`` dominate
     ``undom``?  The picks in the order found, with the allowed mask of the
     entry as it stood before the first of them was tried, or None.
 
-    ``graph`` is (nbr, notnbr, notfar, bit).  With ``exact`` the picks must
-    number exactly ``need``.  ``allowed`` lies within ``undom``, since a
-    pick must be independent of the picks that left ``undom``.  Every scan
-    takes the highest bit first: the lowest placement, in the numbering
-    ``_setup`` gives the graph.
+    The masks are over the placements of ``s``, which also counts the
+    nodes.  With ``exact`` the picks must number exactly ``need``.
+    ``allowed`` lies within ``undom``, since a pick must be independent of
+    the picks that left ``undom``.  Every scan takes the highest bit first:
+    the lowest placement, in the numbering ``_Search`` gives the graph.
 
     One loop evaluates the entry and then each candidate's child, each with
     one walk of the packing of its undominated placements; the module
@@ -265,15 +271,14 @@ def _complete(graph: _Graph, undom: int, allowed: int,
     At a narrowed node, each candidate that a member's private placements
     reject counts as a node: the branch member's rejected ones, or every
     candidate of the last member, in walk order, left with none.  The
-    entry is never
-    narrowed, so that with ``orbits`` its candidates are tried one at a
-    time: the entry is then the refuter's root, whose placement set the
-    symmetry group maps onto itself, and each candidate tried forbids its
-    whole orbit to the later ones, though its own subtree keeps the other
-    members.
+    entry is never narrowed, so that with ``orbits`` its candidates are
+    tried one at a time: the entry is then the refuter's root, whose
+    placement set the symmetry group maps onto itself, and each candidate
+    tried forbids its whole orbit to the later ones, though its own subtree
+    keeps the other members.
     """
-    nbr, notnbr, notfar, bit = graph
-    nodes, stop = budget.nodes, budget.stop
+    nbr, notnbr, notfar, bit = s.nbr, s.notnbr, s.notfar, s.bit
+    nodes, stop = s.nodes, s.stop
     # More than any member's count of candidates.
     most = len(nbr) + 1
     # The frame in use, the last node expanded, lives in c (its candidates
@@ -293,7 +298,7 @@ def _complete(graph: _Graph, undom: int, allowed: int,
     while True:
         if not u2:
             if not (exact and left):
-                budget.nodes = nodes
+                s.nodes = nodes
                 return tuple(picks[:d + 1]), before
         elif left:
             # Packing walk, stopped at left members; anything left in r
@@ -345,7 +350,7 @@ def _complete(graph: _Graph, undom: int, allowed: int,
                     # a node.
                     nodes += top.bit_count() - fewest
                     if nodes >= stop:
-                        stop = budget.spend(nodes - budget.nodes)
+                        stop = s.spend(nodes - s.nodes)
                     a2 = cover
                 else:
                     # Branch on the undominated placement with the fewest
@@ -363,7 +368,7 @@ def _complete(graph: _Graph, undom: int, allowed: int,
                     c, undom, allowed, left = best, u2, a2, left - 1
         while not c:
             if d < 0:
-                budget.nodes = nodes
+                s.nodes = nodes
                 return None
             c, undom, allowed, left = saved[d]
             d -= 1
@@ -372,7 +377,7 @@ def _complete(graph: _Graph, undom: int, allowed: int,
         c ^= low
         nodes += 1
         if nodes >= stop:
-            stop = budget.spend(nodes - budget.nodes)
+            stop = s.spend(nodes - s.nodes)
         picks[d] = i
         u2 = undom & notnbr[i]
         a2 = allowed & notnbr[i]
@@ -385,27 +390,27 @@ def _complete(graph: _Graph, undom: int, allowed: int,
             c &= allowed
 
 
-def _lex_first(graph: _Graph, firsts: int, allowed: int,
-               size: int, budget: _Budget, found: tuple[int, ...] = ()) -> list[int] | None:
+def _lex_first(s: _Search, allowed: int, size: int,
+               found: tuple[int, ...] = ()) -> list[int] | None:
     """Lexicographically first independent dominating set of exactly
     ``size`` placements, as placement indices, or None, given that every
     such set lies within ``allowed``.
 
-    The masks and ``found`` use the search's numbering (``_setup``), so
+    The masks and ``found`` use the search's numbering (``_Search``), so
     the placements above bit i lie below it.  Built one position at a
     time: each keeps the lowest candidate above the last pick (at
-    position 0, one in ``firsts``) that ``_complete`` can extend by exactly
+    position 0, one in ``s.firsts``) that ``_complete`` can extend by exactly
     the picks still needed, all above it.  Each candidate is one node.
     ``found`` is a known set of this size; the least member of the
     completion in hand passes without a search when it is the next
     candidate.  Size 0 succeeds only when nothing is left to dominate.
     """
-    notnbr, bit = graph[1], graph[3]
+    notnbr, bit = s.notnbr, s.bit
     undom = (1 << len(notnbr)) - 1
     if size <= 0:
         return None if size or undom else []
     top = len(notnbr) - 1
-    c = firsts & allowed
+    c = s.firsts & allowed
     picks = []
     # The completion in hand, least member last.
     ahead = sorted(found)
@@ -416,12 +421,12 @@ def _lex_first(graph: _Graph, firsts: int, allowed: int,
             i = c.bit_length() - 1
             low = bit[i]
             c ^= low
-            budget.spend(1)
+            s.spend(1)
             u2 = undom & notnbr[i]
             if ahead and ahead[-1] == i:
                 ahead.pop()
                 break
-            got = _complete(graph, u2, u2 & allowed & (low - 1), need, True, budget)
+            got = _complete(s, u2, u2 & allowed & (low - 1), need, True)
             if got is not None:
                 ahead = sorted(got[0])
                 break
@@ -491,7 +496,7 @@ def _symmetry_group(shape: Shape, board: Board, mode: str) -> list[list[int]]:
 def _orbits(group: list[list[int]]) -> tuple[list[int], int]:
     """Mask of each placement's orbit under the group, and the mask of the
     placements that are the least of their orbit, in the search's numbering
-    (``_setup``): orbit[top - p] is the orbit of placement p.
+    (``_Search``): orbit[top - p] is the orbit of placement p.
 
     Placements are visited in index order, so the one that opens an orbit
     is its least member.  The lex-first maximal arrangement of any size
@@ -541,16 +546,6 @@ def greedy_upper_bound(shape: Shape, board: Board | None = None,
                        arr.placements + _placements_at(shape, board, mode, chosen))
 
 
-def _setup(shape: Shape, board: Board, mode: str
-           ) -> tuple[int, _Graph, list[int], int]:
-    """The mask of all placements of an instance, its search graph, its
-    orbit masks and its orbit minima, numbering placements from the end as
-    the module docstring says."""
-    cells = _tables(shape, board, mode)[2]
-    return ((1 << len(cells)) - 1, _conflict_graph(cells[::-1]),
-            *_orbits(_symmetry_group(shape, board, mode)))
-
-
 def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
                   *, node_budget: int = DEFAULT_NODE_BUDGET,
                   time_budget: float | None = None) -> SolveResult:
@@ -563,35 +558,33 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
     if board is None:
         board = default_board(shape)
     start = time.monotonic()
-    full, graph, orbits, firsts = _setup(shape, board, mode)
     greedy = greedy_upper_bound(shape, board, mode)
-    upper = greedy.size
-    k = _packing_bound(graph[2], full)
-    budget = _Budget(node_budget, time_budget)
-    # Every size below k is refuted (the packing bound refutes those below
-    # the start), and one call at k refutes every size up to k.  A success
-    # comes with the root's allowed mask as it stood before the candidate
-    # that succeeded: no independent dominating set of at most k
-    # placements leaves it.
-    try:
-        while k < upper and (
-                hit := _complete(graph, full, full, k, False, budget, orbits)) is None:
-            k += 1
-        if k == upper:
-            # Every size below greedy's is refuted; with nothing on the
-            # board, greedy is empty and k = upper = 0.  Greedy keeps, in
-            # index order, each placement that fits beside the ones it
-            # kept.  An independent set of the same size that agrees with
-            # greedy's first j picks cannot pick below greedy's next one,
-            # so greedy is the lex-least independent set of its size, and
-            # hence the lex-first witness.
-            return SolveResult(k, greedy, budget.nodes, time.monotonic() - start)
-        found, allowed = hit
-        got = _lex_first(graph, firsts, allowed, k, budget, found)
-    except _BudgetSignal:
-        raise BudgetExceededError(k, upper, budget.nodes) from None
+    s = _Search(_tables(shape, board, mode)[2], _symmetry_group(shape, board, mode),
+                node_budget, time_budget)
+    full = (1 << len(s.bit)) - 1
+    s.upper = greedy.size
+    s.lower = _packing_bound(s.notfar, full)
+    # Every size below s.lower is refuted (the packing bound refutes those
+    # below the start), and one call at s.lower refutes every size up to
+    # it.  A success comes with the root's allowed mask as it stood before
+    # the candidate that succeeded: no independent dominating set of at
+    # most s.lower placements leaves it.
+    while s.lower < s.upper and (
+            hit := _complete(s, full, full, s.lower, False, s.orbit)) is None:
+        s.lower += 1
+    k = s.lower
+    if k == s.upper:
+        # Every size below greedy's is refuted; with nothing on the board,
+        # greedy is empty and k = upper = 0.  Greedy keeps, in index order,
+        # each placement that fits beside the ones it kept.  An independent
+        # set of the same size that agrees with greedy's first j picks
+        # cannot pick below greedy's next one, so greedy is the lex-least
+        # independent set of its size, and hence the lex-first witness.
+        return SolveResult(k, greedy, s.nodes, time.monotonic() - start)
+    found, allowed = hit
+    got = _lex_first(s, allowed, k, found)
     witness = Arrangement(board, shape, mode, _placements_at(shape, board, mode, got))
-    return SolveResult(k, witness, budget.nodes, time.monotonic() - start)
+    return SolveResult(k, witness, s.nodes, time.monotonic() - start)
 
 
 def first_maximal_arrangement(shape: Shape, board: Board, mode: str, size: int,
@@ -607,12 +600,10 @@ def first_maximal_arrangement(shape: Shape, board: Board, mode: str, size: int,
     if size > board.n ** 2 // shape.size:
         # No arrangement holds more disjoint pieces than the board has room for.
         return None
-    full, graph, _, firsts = _setup(shape, board, mode)
-    budget = _Budget(node_budget, None)
-    try:
-        got = _lex_first(graph, firsts, full, size, budget)
-    except _BudgetSignal:
-        raise BudgetExceededError(0, None, budget.nodes) from None
+    s = _Search(_tables(shape, board, mode)[2], _symmetry_group(shape, board, mode),
+                node_budget)
+    # A budget stop here proves no bracket: it reports [0, unknown].
+    got = _lex_first(s, (1 << len(s.bit)) - 1, size)
     if got is None:
         return None
     return Arrangement(board, shape, mode, _placements_at(shape, board, mode, got))

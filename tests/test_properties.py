@@ -13,9 +13,9 @@ from clumsypack.packing import (Arrangement, Board, Placement, _orientation, _pl
                                 _tables, cells_of, enumerate_placements, is_maximal,
                                 is_valid, placement_masks, validate)
 from clumsypack.solver import (ORACLE_SOFT_MAX_K, ORACLE_SOFT_PLACEMENTS,
-                               BudgetExceededError, OracleGuardError, _Budget, _complete,
-                               _conflict_graph, _indices, _packing_bound, _symmetry_group,
-                               clumsy_number, first_maximal_arrangement,
+                               BudgetExceededError, OracleGuardError, _complete,
+                               _conflict_graph, _indices, _packing_bound, _Search,
+                               _symmetry_group, clumsy_number, first_maximal_arrangement,
                                greedy_upper_bound, oracle_clumsy_number)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -495,7 +495,8 @@ def test_complete_matches_brute_force(instance, data):
     # where narrowed nodes below the entry are common.
     cells = _tables(*instance)[2][:40]
     assume(cells)
-    nbr, notnbr, _, _ = graph = _conflict_graph(cells)
+    s = _Search(cells, [list(range(len(cells)))], 10 ** 9)
+    nbr, notnbr = s.nbr, s.notnbr
     undom = (1 << len(cells)) - 1
     for i in data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=4)):
         if undom >> i & 1:
@@ -503,7 +504,7 @@ def test_complete_matches_brute_force(instance, data):
     allowed = undom & ~data.draw(st.integers(0, (1 << len(cells)) - 1))
     need = data.draw(st.integers(0, 4))
     exact = data.draw(st.booleans())
-    got = _complete(graph, undom, allowed, need, exact, _Budget(10 ** 9, None))
+    got = _complete(s, undom, allowed, need, exact)
     want = brute_complete(nbr, undom, allowed, need, exact)
     assert (got is None) == (want is None)
     if got is not None:

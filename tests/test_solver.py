@@ -4,10 +4,10 @@ import pickle
 import pytest
 
 from clumsypack.geometry import Cell, ell, plus, rect, straight_h, straight_v, tee
-from clumsypack.packing import Arrangement, Board, Placement, is_maximal, is_valid
-from clumsypack.solver import (BudgetExceededError, OracleGuardError, _Budget,
-                               _BudgetSignal, _orbits, _symmetry_group,
-                               clumsy_number, first_maximal_arrangement,
+from clumsypack.packing import (Arrangement, Board, Placement, default_board, is_maximal,
+                                is_valid)
+from clumsypack.solver import (BudgetExceededError, OracleGuardError, _orbits, _Search,
+                               _symmetry_group, clumsy_number, first_maximal_arrangement,
                                greedy_upper_bound, oracle_clumsy_number)
 
 
@@ -145,12 +145,17 @@ class TestNodeCounts:
             clumsy_number(shape, Board(n), mode, node_budget=budget)
         err = ei.value
         assert (err.lower, err.upper, err.nodes) == (lower, upper, nodes)
+        # Raised where the budget runs out, with no internal error behind it.
+        assert err.__context__ is None
 
 
 class TestGreedy:
     def test_greedy_is_maximal(self):
         arr = greedy_upper_bound(ell(3, 6), Board(10), "free")
         assert is_valid(arr) and is_maximal(arr)
+        # With no board or mode given, the sweep runs free on the default board.
+        assert greedy_upper_bound(ell(3, 6)) == \
+            greedy_upper_bound(ell(3, 6), default_board(ell(3, 6)), "free")
 
     def test_seed_is_kept(self):
         seed = (Placement(0, Cell(2, 1)), Placement(0, Cell(3, 4)),
@@ -210,22 +215,27 @@ class TestBudget:
 
     def test_clock_read_when_a_batch_steps_over_a_check(self):
         # One spend may add many nodes: crossing node 1 or a multiple of
-        # 4096 reads the clock wherever the count lands.
-        budget = _Budget(10 ** 9, -1.0)
-        with pytest.raises(_BudgetSignal):
-            budget.spend(5000)
+        # 4096 reads the clock wherever the count lands.  A search over no
+        # placements holds just the budget and the bracket it reports.
+        s = _Search((), [[]], 10 ** 9, -1.0)
+        s.lower, s.upper = 3, 7
+        with pytest.raises(BudgetExceededError) as ei:
+            s.spend(5000)
+        assert (ei.value.lower, ei.value.upper, ei.value.nodes) == (3, 7, 5000)
 
     def test_one_node_ticks_read_the_clock_and_hold_the_node_budget(self):
         # The witness phase counts its candidates one at a time.
-        budget = _Budget(10 ** 9, -1.0)
-        with pytest.raises(_BudgetSignal):
-            budget.spend(1)
-        budget = _Budget(2, None)
-        budget.spend(1)
-        budget.spend(1)
-        with pytest.raises(_BudgetSignal):
-            budget.spend(1)
-        assert budget.nodes == 3
+        s = _Search((), [[]], 10 ** 9, -1.0)
+        with pytest.raises(BudgetExceededError) as ei:
+            s.spend(1)
+        assert (ei.value.lower, ei.value.upper, ei.value.nodes) == (0, None, 1)
+        s = _Search((), [[]], 2)
+        s.lower, s.upper = 4, 6
+        s.spend(1)
+        s.spend(1)
+        with pytest.raises(BudgetExceededError) as ei:
+            s.spend(1)
+        assert (ei.value.lower, ei.value.upper, ei.value.nodes) == (4, 6, 3)
 
     def test_negative_node_budget_rejected(self):
         with pytest.raises(ValueError, match="node budget"):
