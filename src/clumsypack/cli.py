@@ -77,7 +77,7 @@ def _parse_range(text: str) -> range:
 
 
 def _shape_from_args(args: argparse.Namespace) -> Shape:
-    cells = _parse_cells(args.custom_cells) if args.custom_cells else None
+    cells = None if args.custom_cells is None else _parse_cells(args.custom_cells)
     return make_shape(args.family, _parse_params(args.params or ""), custom_cells=cells)
 
 

@@ -31,21 +31,6 @@ from .geometry import FAMILIES, Cell, _Record, _set, make_shape, rotate
 from .packing import MODES, Arrangement, Board, Placement
 
 
-# The loader PyYAML runs with; None stands for libyaml's C loader when
-# PyYAML was built with it, else the pure-Python one, and is resolved on
-# first use.
-_Loader = None
-
-
-def _yaml():
-    """PyYAML, imported on first use, with ``_Loader`` set."""
-    global _Loader
-    import yaml
-    if _Loader is None:
-        _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    return yaml
-
-
 # The text dumps writes for a named family, and nothing else: a YAML 1.1
 # resolver reads other spellings (07, 1_000, +5, 0x1F, quotes, flow style)
 # with their own meanings, so those go to PyYAML.  Each repeated group starts
@@ -280,9 +265,9 @@ def _document(body) -> ArrangementFile:
 def loads(text: str) -> ArrangementFile:
     body = _parse_canonical(text)
     if body is None:
-        yaml = _yaml()
+        import yaml
         try:
-            body = yaml.load(text, Loader=_Loader)
+            body = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise FileFormatError(f"not valid YAML: {exc}") from None
     return _document(body)

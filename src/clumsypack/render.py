@@ -6,6 +6,8 @@ off-board arrangement would silently misrepresent it.
 
 from __future__ import annotations
 
+import operator
+
 from .geometry import rotate
 from .packing import Arrangement, cells_of, validate
 
@@ -88,7 +90,13 @@ def _piece_outline(cells: frozenset) -> list[list[tuple[int, int]]]:
 
 
 def render_svg(arrangement: Arrangement, cell: int = 24) -> str:
-    """A standalone SVG drawing: grid, board frame, one filled path per piece."""
+    """A standalone SVG drawing: grid, board frame, one filled path per piece.
+
+    ``cell`` is the side of one board cell in pixels: a positive integer.
+    """
+    cell = operator.index(cell)
+    if cell < 1:
+        raise ValueError(f"cell size must be positive, got {cell}")
     _checked(arrangement)
     n = arrangement.board.n
     side = n * cell

@@ -18,7 +18,7 @@ from enum import Enum, unique
 from typing import Callable
 
 from .geometry import Cell, Shape, _Record, _set, custom, ell, plus, rect, straight_v, tee
-from .packing import Arrangement, Board, Placement, _check_mode, _tables, _verdict
+from .packing import Arrangement, Board, Placement, _check_mode, _tables, _verdict, default_board
 from .solver import clumsy_number, first_maximal_arrangement
 
 
@@ -54,33 +54,34 @@ def _ceil_div(x: int, y: int) -> int:
 class Claim(_Record):
     """One stated result: what it is about, what it claims, how it is witnessed.
 
-    ``instance`` maps the parameters to the shape and the board side the
-    claim is about, and ``mode`` says how copies may move.  ``value`` gives
-    the claimed clumsy number, or a (lower, upper) bracket.  ``construction``
-    maps the board side and the parameters to the placements of the witness
-    the proof describes, which ``build_construction`` puts on the instance;
-    it is None for the conjecture.
+    ``piece`` maps the parameters to the shape the claim is about, which
+    is packed on its ``default_board``, and ``mode`` says how copies may
+    move.  ``value`` gives the claimed clumsy number, or a (lower, upper)
+    bracket.  ``construction`` maps the board side and the parameters to the
+    placements of the witness the proof describes, which
+    ``build_construction`` puts on the instance; it is None for the
+    conjecture.
     """
 
-    __slots__ = ("params", "hypothesis", "hypothesis_text", "value", "instance",
+    __slots__ = ("params", "hypothesis", "hypothesis_text", "value", "piece",
                  "mode", "construction")
     params: tuple[str, ...]
     hypothesis: Callable[..., bool]
     hypothesis_text: str
     value: Callable[..., int | tuple[int, int]]
-    instance: Callable[..., tuple[Shape, int]]
+    piece: Callable[..., Shape]
     mode: str
     construction: Callable[..., tuple[Placement, ...]] | None
 
     def __init__(self, params: tuple[str, ...], hypothesis: Callable[..., bool],
                  hypothesis_text: str, value: Callable[..., int | tuple[int, int]],
-                 instance: Callable[..., tuple[Shape, int]], mode: str,
+                 piece: Callable[..., Shape], mode: str,
                  construction: Callable[..., tuple[Placement, ...]] | None) -> None:
         _set(self, "params", params)
         _set(self, "hypothesis", hypothesis)
         _set(self, "hypothesis_text", hypothesis_text)
         _set(self, "value", value)
-        _set(self, "instance", instance)
+        _set(self, "piece", piece)
         _set(self, "mode", mode)
         _set(self, "construction", construction)
 
@@ -97,14 +98,12 @@ def _conj_l_fixed_value(a: int, b: int) -> int:
 
 
 def _ell_wide(a: int, b: int) -> Shape:
-    """L with a+1 cells along the top and b below the corner, any a, b >= 1.
+    """L with a+1 cells along the top and b below the corner, for b <= a.
 
-    The standard L constructor insists on a <= b; this builds the b < a
-    orientation directly from its cells.
+    The standard L constructor insists on a <= b; this is ``ell(b, a)``
+    transposed, a custom shape anchored at its corner.
     """
-    cells = [Cell(i, 1) for i in range(1, a + 2)]
-    cells += [Cell(1, j) for j in range(2, b + 2)]
-    return custom(cells, Cell(1, 1))
+    return custom(Cell(row, col) for col, row in ell(b, a).cells)
 
 
 def _blocking_grid_starts(n: int, w: int) -> list[int]:
@@ -126,16 +125,16 @@ def _blocking_grid_starts(n: int, w: int) -> list[int]:
 
 
 def _rect_fixed_construction(n: int, a: int, b: int) -> tuple[Placement, ...]:
-    # rect(a, b) is anchored in column a // 2 and row b // 2 (at least 1).
-    ac, ar = max(1, a // 2), max(1, b // 2)
+    ac, ar = rect(a, b).anchor
     xs = _blocking_grid_starts(n, a)
     return tuple(Placement(0, Cell(sx + ac - 1, sy + ar - 1))
                  for sy in _blocking_grid_starts(n, b) for sx in xs)
 
 
 def _straight_construction(n: int, _: int) -> tuple[Placement, ...]:
-    # One piece per column; straight_v(n) is anchored in row n // 2 (at least 1).
-    return tuple(Placement(0, Cell(i, max(1, n // 2))) for i in range(1, n + 1))
+    # One piece per column.
+    row = straight_v(n).anchor.row
+    return tuple(Placement(0, Cell(i, row)) for i in range(1, n + 1))
 
 
 def _t_fixed_wide_construction(n: int, a: int, b: int) -> tuple[Placement, ...]:
@@ -193,50 +192,50 @@ def _t_free_four_construction(n: int, a: int, b: int) -> tuple[Placement, ...]:
 CLAIMS: dict[TheoremId, Claim] = {
     TheoremId.STRAIGHT_FIXED: Claim(
         ("n",), lambda n: n >= 1, "n >= 1", lambda n: n,
-        lambda n: (straight_v(n), n), "fixed", _straight_construction),
+        straight_v, "fixed", _straight_construction),
     TheoremId.STRAIGHT_FREE: Claim(
         ("n",), lambda n: n >= 1, "n >= 1", lambda n: n,
-        lambda n: (straight_v(n), n), "free", _straight_construction),
+        straight_v, "free", _straight_construction),
     TheoremId.RECT_FIXED: Claim(
         ("a", "b"), lambda a, b: a >= 2 and b >= 2, "a, b >= 2", _rect_fixed_value,
-        lambda a, b: (rect(a, b), a * b), "fixed", _rect_fixed_construction),
+        rect, "fixed", _rect_fixed_construction),
     TheoremId.L_FIXED_EQUAL: Claim(
         ("a",), lambda a: a >= 1, "a >= 1", lambda a: 1,
-        lambda a: (ell(a, a), 2 * a + 1), "fixed",
+        lambda a: ell(a, a), "fixed",
         lambda _, a: (Placement(0, Cell(a + 1, 1)),)),
     TheoremId.L_FREE_EQUAL: Claim(
         ("a",), lambda a: a >= 1, "a >= 1", lambda a: 2,
-        lambda a: (ell(a, a), 2 * a + 1), "free",
+        lambda a: ell(a, a), "free",
         lambda _, a: (Placement(0, Cell(a + 1, a + 1)), Placement(0, Cell(a, 1)))),
     TheoremId.L_FREE_BOUNDS: Claim(
         ("a", "b"), lambda a, b: 1 <= a <= b, "1 <= a <= b", lambda a, b: (2, 5),
-        lambda a, b: (ell(a, b), a + b + 1), "free", _l_free_five_construction),
+        ell, "free", _l_free_five_construction),
     TheoremId.L_FREE_A1_BOUNDS: Claim(
         ("b",), lambda b: b >= 1, "b >= 1", lambda b: (2, 4),
-        lambda b: (ell(1, b), b + 2), "free", _l_free_a1_construction),
+        lambda b: ell(1, b), "free", _l_free_a1_construction),
     TheoremId.T_FIXED_WIDE: Claim(
         ("a", "b"), lambda a, b: a >= 1 and 1 <= b <= 2 * a, "a >= 1 and 1 <= b <= 2a",
         lambda a, b: _ceil_div(2 * a + 1, 2 * b + 1),
-        lambda a, b: (tee(a, b), 2 * a + b + 1), "fixed", _t_fixed_wide_construction),
+        tee, "fixed", _t_fixed_wide_construction),
     TheoremId.T_FIXED_TALL: Claim(
         ("a", "b"), lambda a, b: a >= 1 and b > 2 * a, "a >= 1 and b > 2a",
         lambda a, b: _ceil_div(b + 1, 2 * a + 1),
-        lambda a, b: (tee(a, b), 2 * a + b + 1), "fixed", _t_fixed_tall_construction),
+        tee, "fixed", _t_fixed_tall_construction),
     TheoremId.T_FREE_EQUAL: Claim(
         ("a",), lambda a: a >= 1, "a >= 1", lambda a: 2,
-        lambda a: (tee(a, a), 3 * a + 1), "free",
+        lambda a: tee(a, a), "free",
         lambda _, a: (Placement(0, Cell(a + 1, a + 1)),
                       Placement(1, Cell(2 * a + 2, 2 * a + 1)))),
     TheoremId.T_FREE_BOUNDS: Claim(
         ("a", "b"), lambda a, b: a >= 1 and b >= 1, "a, b >= 1", lambda a, b: (2, 4),
-        lambda a, b: (tee(a, b), 2 * a + b + 1), "free", _t_free_four_construction),
+        tee, "free", _t_free_four_construction),
     TheoremId.PLUS_ANY: Claim(
         ("a",), lambda a: a >= 1, "a >= 1", lambda a: 1,
-        lambda a: (plus(a), 4 * a + 1), "free",
+        plus, "free",
         lambda _, a: (Placement(0, Cell(2 * a + 1, 2 * a + 1)),)),
     TheoremId.CONJ_L_FIXED: Claim(
         ("a", "b"), lambda a, b: 1 <= b < a, "1 <= b < a", _conj_l_fixed_value,
-        lambda a, b: (_ell_wide(a, b), a + b + 1), "fixed", None),
+        _ell_wide, "fixed", None),
 }
 
 
@@ -264,8 +263,8 @@ def instance_of(theorem: TheoremId, params: tuple[int, ...]
                 ) -> tuple[Shape, Board, str]:
     """The shape, board, and mode a theorem's claim is about."""
     claim, ps = _check_params(theorem, params)
-    shape, side = claim.instance(*ps)
-    return shape, Board(side), claim.mode
+    shape = claim.piece(*ps)
+    return shape, default_board(shape), claim.mode
 
 
 def build_construction(theorem: TheoremId, *params: int) -> Arrangement:
@@ -276,8 +275,8 @@ def build_construction(theorem: TheoremId, *params: int) -> Arrangement:
     recipe's own side conditions fail.
     """
     claim, ps = _check_params(theorem, params)
-    shape, side = claim.instance(*ps)
-    return _construct(claim, ps, shape, Board(side))
+    shape = claim.piece(*ps)
+    return _construct(claim, ps, shape, default_board(shape))
 
 
 def _construct(claim: Claim, ps: tuple[int, ...], shape: Shape, board: Board) -> Arrangement:
@@ -331,8 +330,8 @@ def check_theorem(theorem: TheoremId, params: tuple[int, ...],
     skipped on instances with more placements than SOLVER_PLACEMENT_LIMIT.
     """
     claim, ps = _check_params(theorem, params)
-    shape, side = claim.instance(*ps)
-    board = Board(side)
+    shape = claim.piece(*ps)
+    board = default_board(shape)
     value = claim.value(*ps)
     lo, hi = _bracket(value)
     try:

@@ -24,13 +24,17 @@ def example_file(tmp_path, name):
 
 
 class TestSolve:
-    @pytest.mark.parametrize("extra,word", [(["--custom-cells", "1,1;2,1"], "custom cells")])
-    def test_named_family_refuses_custom_options(self, run_cli, extra, word):
+    @pytest.mark.parametrize("extra,message", [
+        (["--custom-cells", "1,1;2,1"],
+         "error: family 'T' takes no custom cells; only family custom does\n"),
+        (["--custom-cells", ""], "error: empty cell list\n"),
+    ])
+    def test_named_family_refuses_custom_options(self, run_cli, extra, message):
         # These used to be ignored: the command solved T(1,1) and exited 0.
         code, out, err = run_cli(["solve", "--family", "T", "--params", "1,1",
                                   "--board", "5", *extra])
         assert (code, out) == (2, "")
-        assert err == f"error: family 'T' takes no {word}; only family custom does\n"
+        assert err == message
 
     def test_small_instance(self, run_cli):
         code, out, err = run_cli(["solve", "--family", "L", "--params", "3,6"])
@@ -388,6 +392,7 @@ class TestUsageErrors:
          "error: range must be 'N' or 'N..M', got 'x'\n"),
         (["table", "--family", "L", "--mode", "free", "--params", "3..1,1"],
          "error: empty range '3..1'\n"),
+        (["solve", "--family", "custom", "--custom-cells", ""], "error: empty cell list\n"),
     ])
     def test_malformed_cells_or_range(self, run_cli, argv, err):
         assert run_cli(argv) == (2, "", err)

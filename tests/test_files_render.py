@@ -212,7 +212,7 @@ class TestLoadErrors:
 @pytest.fixture
 def pure_python_yaml(monkeypatch):
     """PyYAML's pure-Python loader, as on a machine without libyaml."""
-    monkeypatch.setattr(files, "_Loader", yaml.SafeLoader)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
 
 
 @pytest.mark.usefixtures("pure_python_yaml")
@@ -624,6 +624,12 @@ class TestSvgRender:
         arr = Arrangement(Board(2), plus(1), "free", (Placement(0, Cell(1, 1)),))
         with pytest.raises(ValueError):
             render_svg(arr)
+
+    @pytest.mark.parametrize("cell,error", [(0, ValueError), (-24, ValueError),
+                                            (2.5, TypeError)])
+    def test_cell_size_must_be_a_positive_integer(self, cell, error):
+        with pytest.raises(error):
+            render_svg(build_example("L36"), cell=cell)
 
 
 def _ring_with_tail():

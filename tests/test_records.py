@@ -31,7 +31,7 @@ RECORDS = [
      (Board(5), tee(1, 1), "fixed", ())),
     (SolveResult, ("clumsy_number", "witness", "nodes_explored", "elapsed"),
      (1, _ARR, 5, 0.25), (2, _OTHER_ARR, 6, 0.5)),
-    (Claim, ("params", "hypothesis", "hypothesis_text", "value", "instance", "mode",
+    (Claim, ("params", "hypothesis", "hypothesis_text", "value", "piece", "mode",
              "construction"),
      (("a",), bool, "a >= 1", abs, divmod, "fixed", None),
      (("a", "b"), callable, "a, b >= 1", round, pow, "free", max)),
