@@ -52,12 +52,9 @@ def _parse_cells(text: str) -> tuple[Cell, ...]:
         if len(parts) != 2:
             raise ValueError(f"cells must look like 'col,row;col,row;...', got {text!r}")
         try:
-            cell = Cell(int(parts[0]), int(parts[1]))
+            cells.append(Cell(int(parts[0]), int(parts[1])))
         except ValueError:
             raise ValueError(f"cell coordinates must be integers, got {chunk!r}") from None
-        if cell in cells:
-            raise ValueError(f"cell list repeats cell ({cell.col}, {cell.row})")
-        cells.append(cell)
     if not cells:
         raise ValueError("empty cell list")
     return tuple(cells)

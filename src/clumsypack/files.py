@@ -83,7 +83,7 @@ def from_arrangement(arrangement: Arrangement) -> ArrangementFile:
     try:
         # A custom shape comes back anchored at its least cell.
         rebuilt = make_shape(shape.family, shape.params, custom_cells=custom_cells)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise FileFormatError(f"cannot write the shape: {exc}") from None
     if custom_cells is None and rebuilt != shape:
         raise FileFormatError(
@@ -244,7 +244,7 @@ def _document(body) -> ArrangementFile:
                     f"custom_cells entry {i} must be a [col, row] pair")
             cell = Cell(_need_int(pair[0], f"custom_cells entry {i} col"),
                         _need_int(pair[1], f"custom_cells entry {i} row"))
-            # The shape is a cell set: a repeat would not survive a save.
+            # Checked here, not left to custom(), so the message names the entry.
             if cell in seen:
                 raise FileFormatError(
                     f"custom_cells entry {i} repeats cell ({cell.col}, {cell.row})")

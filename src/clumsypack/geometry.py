@@ -18,13 +18,6 @@ class Cell(NamedTuple):
     row: int
 
 
-def _norm_shift(cells: Iterable[Cell]) -> tuple[int, int]:
-    cs = list(cells)
-    if not cs:
-        raise ValueError("cannot normalize an empty cell set")
-    return 1 - min(c.col for c in cs), 1 - min(c.row for c in cs)
-
-
 class _Record:
     """Base of the package's immutable records.
 
@@ -191,10 +184,19 @@ def gen_plus(a: int, b: int, c: int, d: int) -> Shape:
 
 
 def custom(cells: Iterable[Cell], anchor: Cell | None = None) -> Shape:
-    """A user-supplied cell set, normalized; the anchor defaults to the
-    lexicographically least cell."""
-    raw = {Cell(*c) for c in cells}
-    dc, dr = _norm_shift(raw)
+    """A user-supplied cell list, normalized; the anchor defaults to the
+    lexicographically least cell.  A list that names a cell twice raises
+    ValueError."""
+    raw: set[Cell] = set()
+    for c in cells:
+        c = Cell(*c)
+        if c in raw:
+            raise ValueError(f"cell list repeats cell ({c.col}, {c.row})")
+        raw.add(c)
+    if not raw:
+        raise ValueError("cannot normalize an empty cell set")
+    dc = 1 - min(c.col for c in raw)
+    dr = 1 - min(c.row for c in raw)
     norm = frozenset(Cell(c.col + dc, c.row + dr) for c in raw)
     if anchor is None:
         a = min(norm)

@@ -139,8 +139,7 @@ def _occupancy(arrangement: Arrangement) -> tuple[str | None, int]:
     # Read once per pass: each lookup in the cache hashes the shape.
     orientations = [_orientation(arrangement.shape, m, n) for m in range(1 if fixed else 4)]
     masks = []
-    occ = 0
-    overlap = False
+    occ = twice = 0
     for idx, p in enumerate(arrangement.placements, start=1):
         m = p.rotation
         if fixed and m:
@@ -154,19 +153,15 @@ def _occupancy(arrangement: Arrangement) -> tuple[str | None, int]:
                     return (f"placement {idx} off board: cell ({c.col}, {c.row}) "
                             f"outside 1..{n}"), 0
         mask = corner << (dr * n + dc)
-        if occ & mask:
-            overlap = True
+        twice |= occ & mask
         occ |= mask
         masks.append(mask)
-    if overlap:
-        # The least i whose mask meets a later one is the first member of
-        # the least overlapping pair; its least such partner is the second.
-        later = [0] * len(masks)
-        after = 0
-        for i in range(len(masks) - 1, -1, -1):
-            later[i] = after
-            after |= masks[i]
-        i = next(i for i, mask in enumerate(masks) if mask & later[i])
+    if twice:
+        # twice holds the cells covered more than once.  Every placement
+        # before the least i that meets it is disjoint from all others, so
+        # i overlaps only later ones, and it and its least partner are the
+        # least overlapping pair.
+        i = next(i for i, mask in enumerate(masks) if mask & twice)
         j = next(j for j in range(i + 1, len(masks)) if masks[i] & masks[j])
         return f"placements {i + 1} and {j + 1} overlap", 0
     return None, occ

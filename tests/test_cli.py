@@ -28,6 +28,8 @@ class TestSolve:
         (["--custom-cells", "1,1;2,1"],
          "error: family 'T' takes no custom cells; only family custom does\n"),
         (["--custom-cells", ""], "error: empty cell list\n"),
+        (["--custom-cells", "1,1;1,1"],
+         "error: family 'T' takes no custom cells; only family custom does\n"),
     ])
     def test_named_family_refuses_custom_options(self, run_cli, extra, message):
         # These used to be ignored: the command solved T(1,1) and exited 0.
@@ -374,7 +376,7 @@ class TestUsageErrors:
     def test_scan_checks_options_before_any_row(self, run_cli, argv, err):
         assert run_cli(["scan", "L-free-exact", *argv]) == (2, "", err)
 
-    # The library would collapse the repeat and solve a smaller piece.
+    # A repeated cell is refused, not dropped to solve a smaller piece.
     @pytest.mark.parametrize("command", ["solve", "oracle"])
     def test_repeated_custom_cell(self, run_cli, command):
         code, out, err = run_cli([command, "--family", "custom",

@@ -194,8 +194,7 @@ class TestLoadErrors:
             loads(self.dump(doc))
 
     def test_custom_cells_repeat(self, tmp_path, run_cli):
-        # custom() would collapse the repeat, and a save would then write
-        # fewer cells than the file gave.
+        # A repeated entry is refused, and the message names the entry.
         doc = self.base()
         doc.update(family="custom", params=[], placements=[],
                    custom_cells=[[0, 0], [0, 0], [1, 0]])
@@ -503,6 +502,9 @@ class TestWriter:
         (Shape(ell(1, 2).cells, Cell(1, 1), family="L", params=(1, 3)), "has other cells"),
         (Shape(ell(1, 2).cells, Cell(2, 1), family="L", params=(1, 2)), "another anchor"),
         (Shape(ell(1, 2).cells, Cell(1, 1), family="custom", params=(2,)), "no parameters"),
+        (Shape(ell(1, 2).cells, Cell(1, 1), family="L", params=(1.5, 2)),
+         "cannot be interpreted as an integer"),
+        (Shape(ell(1, 2).cells, Cell(1, 1), family="L", params=5), "is not iterable"),
     ])
     def test_shape_its_family_does_not_rebuild_is_refused(self, tmp_path, shape, match):
         path = tmp_path / "kept.yaml"

@@ -114,6 +114,11 @@ class TestConstructorErrors:
         with pytest.raises(ValueError, match="^a shape needs at least one cell$"):
             Shape(frozenset(), Cell(1, 1))
 
+    def test_custom_refuses_repeated_cell(self):
+        # A set would drop the repeat and build a smaller piece.
+        with pytest.raises(ValueError, match=r"^cell list repeats cell \(1, 1\)$"):
+            custom([(1, 1), (2, 1), (1, 1)])
+
     @pytest.mark.parametrize("cells,anchor", [
         ({(1.0, 1), (2, 1)}, (1, 1)),
         ({("1", 1), (2, 1)}, (1, 1)),

@@ -50,6 +50,32 @@ class TestRectangles:
         assert clumsy_number(rect(2, 3), mode="free").clumsy_number == 3
 
 
+# The pieces the paper opens with, by board side: Sands' dominoes, and
+# Goddard's hooks (the L tromino) and fixed 2x2 squares.
+PAPER_PIECES = {
+    "domino": (straight_v(2), "free", (2, 3, 6, 9, 12)),
+    "hook": (ell(1, 1), "free", (1, 2, 3, 4, 6, 8)),
+    "square": (rect(2, 2), "fixed", (1, 1, 1, 4, 4, 4, 9, 9, 9, 16, 16, 16, 25)),
+}
+# The sides on which the oracle tries at most ORACLE_SUBSET_LIMIT
+# (test_properties) subsets.
+PAPER_ORACLE_SIDES = {"domino": (2, 3), "hook": (2, 3), "square": (2, 3, 4, 5)}
+
+
+@pytest.mark.parametrize("piece,n", [(piece, n) for piece, (_, _, values)
+                                     in PAPER_PIECES.items()
+                                     for n in range(2, 2 + len(values))])
+def test_paper_opening_pieces(piece, n):
+    shape, mode, values = PAPER_PIECES[piece]
+    value = values[n - 2]
+    res = clumsy_number(shape, Board(n), mode)
+    assert res.clumsy_number == value
+    assert res.witness.board == Board(n) and res.witness.size == value
+    assert is_valid(res.witness) and is_maximal(res.witness)
+    if n in PAPER_ORACLE_SIDES[piece]:
+        assert oracle_clumsy_number(shape, Board(n), mode) == value
+
+
 L_FREE = {(1, 1): 2, (1, 2): 2, (1, 3): 2, (2, 2): 2, (2, 3): 2, (3, 3): 2,
           (1, 4): 3, (2, 4): 3}
 
