@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 
-from .geometry import FAMILIES, Cell, _Record, _set, make_shape, rotate
+from .geometry import FAMILIES, Cell, _Record, make_shape, rotate
 from .packing import MODES, Arrangement, Board, Placement
 
 
@@ -59,16 +59,7 @@ class ArrangementFile(_Record):
     mode: str
     placements: tuple[tuple[int, int, int], ...]
     custom_cells: tuple[Cell, ...] | None
-
-    def __init__(self, board_n: int, family: str, params: tuple[int, ...], mode: str,
-                 placements: tuple[tuple[int, int, int], ...],
-                 custom_cells: tuple[Cell, ...] | None = None) -> None:
-        _set(self, "board_n", board_n)
-        _set(self, "family", family)
-        _set(self, "params", params)
-        _set(self, "mode", mode)
-        _set(self, "placements", placements)
-        _set(self, "custom_cells", custom_cells)
+    _defaults = {"custom_cells": None}
 
 
 def from_arrangement(arrangement: Arrangement) -> ArrangementFile:

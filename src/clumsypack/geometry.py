@@ -22,16 +22,36 @@ class _Record:
     """Base of the package's immutable records.
 
     A record names its fields in ``__slots__`` and sets them once, in its
-    ``__init__``, through ``object.__setattr__``.  Equality and hash, the
-    repr and pickling all follow from ``__slots__``: two records are equal
-    when they are of one class and their fields agree.  A class that
-    compares fewer fields names them in ``_compared``.
+    ``__init__``, through ``object.__setattr__``.  The constructor here takes
+    the fields in ``__slots__`` order, by position or by name, and fills a
+    field left out from the class's ``_defaults``; a record that checks or
+    converts its fields writes its own.  Equality and hash, the repr and
+    pickling all follow from ``__slots__``: two records are equal when they
+    are of one class and their fields agree.  A class that compares fewer
+    fields names them in ``_compared``.
     """
 
     __slots__ = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         cls._key = operator.attrgetter(*getattr(cls, "_compared", cls.__slots__))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names, kind = self.__slots__, type(self).__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{kind} takes {len(names)} fields, got {len(args)}")
+        fields = dict(zip(names, args))
+        for name in kwargs:
+            if name in fields:
+                raise TypeError(f"{kind} got field {name!r} twice")
+            if name not in names:
+                raise TypeError(f"{kind} has no field {name!r}")
+        fields = {**self._defaults, **fields, **kwargs}
+        for name in names:
+            if name not in fields:
+                raise TypeError(f"{kind} is missing field {name!r}")
+            _set(self, name, fields[name])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -68,7 +68,7 @@ import operator
 import time
 from collections.abc import Iterator
 
-from .geometry import Cell, Shape, _Record, _set, rotate
+from .geometry import Cell, Shape, _Record, rotate
 from .packing import (Arrangement, Board, Placement, _check_mode, _occupancy,
                       _placements_at, _tables, default_board)
 
@@ -104,18 +104,20 @@ class OracleGuardError(RuntimeError):
 
 
 class SolveResult(_Record):
+    """The outcome of one ``clumsy_number`` solve.
+
+    ``clumsy_number`` is the least size of a maximal arrangement, and
+    ``witness`` the lexicographically first maximal arrangement of that
+    size.  ``nodes_explored`` counts the nodes of both phases, a node as
+    the module docstring defines it, and ``elapsed`` is the solve's wall
+    time in seconds, its set-up included.
+    """
+
     __slots__ = ("clumsy_number", "witness", "nodes_explored", "elapsed")
     clumsy_number: int
     witness: Arrangement
     nodes_explored: int
     elapsed: float
-
-    def __init__(self, clumsy_number: int, witness: Arrangement,
-                 nodes_explored: int, elapsed: float) -> None:
-        _set(self, "clumsy_number", clumsy_number)
-        _set(self, "witness", witness)
-        _set(self, "nodes_explored", nodes_explored)
-        _set(self, "elapsed", elapsed)
 
 
 class _Search:

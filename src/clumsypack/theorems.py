@@ -17,7 +17,7 @@ import operator
 from enum import Enum, unique
 from typing import Callable
 
-from .geometry import Cell, Shape, _Record, _set, custom, ell, plus, rect, straight_v, tee
+from .geometry import Cell, Shape, _Record, custom, ell, plus, rect, straight_v, tee
 from .packing import Arrangement, Board, Placement, _check_mode, _tables, _verdict, default_board
 from .solver import clumsy_number, first_maximal_arrangement
 
@@ -72,18 +72,6 @@ class Claim(_Record):
     piece: Callable[..., Shape]
     mode: str
     construction: Callable[..., tuple[Placement, ...]] | None
-
-    def __init__(self, params: tuple[str, ...], hypothesis: Callable[..., bool],
-                 hypothesis_text: str, value: Callable[..., int | tuple[int, int]],
-                 piece: Callable[..., Shape], mode: str,
-                 construction: Callable[..., tuple[Placement, ...]] | None) -> None:
-        _set(self, "params", params)
-        _set(self, "hypothesis", hypothesis)
-        _set(self, "hypothesis_text", hypothesis_text)
-        _set(self, "value", value)
-        _set(self, "piece", piece)
-        _set(self, "mode", mode)
-        _set(self, "construction", construction)
 
 
 def _rect_fixed_value(a: int, b: int) -> int:
@@ -307,18 +295,6 @@ class TheoremReport(_Record):
     construction_ok: bool | None
     solver_value: int | None
     consistent: bool
-
-    def __init__(self, theorem: TheoremId, params: tuple[int, ...],
-                 formula_value: object, construction: Arrangement | None,
-                 construction_ok: bool | None, solver_value: int | None,
-                 consistent: bool) -> None:
-        _set(self, "theorem", theorem)
-        _set(self, "params", params)
-        _set(self, "formula_value", formula_value)
-        _set(self, "construction", construction)
-        _set(self, "construction_ok", construction_ok)
-        _set(self, "solver_value", solver_value)
-        _set(self, "consistent", consistent)
 
 
 def check_theorem(theorem: TheoremId, params: tuple[int, ...],

@@ -1,7 +1,9 @@
-"""The contract every immutable record keeps: equality and hash on its
-fields, no assignment or deletion, copies and pickles equal to the
-original, and a repr that names each field.  Equality and hash are
-defined once, in the records' common base, ``geometry._Record``."""
+"""The contract every immutable record keeps: fields given by position or
+by name, equality and hash on its fields, no assignment or deletion,
+copies and pickles equal to the original, and a repr that names each
+field.  Equality and hash are defined once, in the records' common base,
+``geometry._Record``, and so is the constructor of the plain records,
+which only set their fields."""
 
 import copy
 import pickle
@@ -45,6 +47,10 @@ RECORDS = [
      (5, "custom", (), "fixed", (), (Cell(1, 1),))),
 ]
 
+# The records built by the base's constructor; the others check or convert
+# their fields in their own.
+PLAIN = (SolveResult, Claim, TheoremReport, ArrangementFile)
+
 # Metadata that Shape leaves out of equality and hash.
 _UNCOMPARED = {(Shape, "family"), (Shape, "params")}
 
@@ -82,6 +88,43 @@ def test_each_field_takes_part_in_equality(record):
 def test_equality_and_hash_come_from_the_base(record):
     cls = record[0]
     assert "__eq__" not in cls.__dict__ and "__hash__" not in cls.__dict__
+
+
+def test_fields_by_position_or_by_name(record):
+    cls, fields, values, _ = record
+    rec = cls(*values)
+    assert rec == _build(cls, fields, values)
+    assert all(getattr(rec, name) == value for name, value in zip(fields, values))
+    # The first fields by position and the rest by name.
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == rec
+
+
+def test_plain_records_take_the_base_constructor(record):
+    cls = record[0]
+    assert ("__init__" in cls.__dict__) is (cls not in PLAIN)
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=[c.__name__ for c in PLAIN])
+def test_plain_records_refuse_a_field_out_of_place(cls):
+    _, fields, values, _ = next(r for r in RECORDS if r[0] is cls)
+    with pytest.raises(TypeError, match=f"missing field '{fields[0]}'"):
+        cls(**dict(zip(fields[1:], values[1:])))
+    with pytest.raises(TypeError, match=f"takes {len(fields)} fields, got {len(fields) + 1}"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="has no field 'colour'"):
+        cls(*values, colour=None)
+    with pytest.raises(TypeError, match=f"got field '{fields[0]}' twice"):
+        cls(*values, **{fields[0]: values[0]})
+
+
+def test_file_custom_cells_default_to_none():
+    doc = ArrangementFile(4, "L", (1, 1), "free", ((0, 1, 1),))
+    assert doc.custom_cells is None
+    assert doc == ArrangementFile(board_n=4, family="L", params=(1, 1), mode="free",
+                                  placements=((0, 1, 1),), custom_cells=None)
+    # A default fills no earlier field.
+    with pytest.raises(TypeError, match="missing field 'placements'"):
+        ArrangementFile(4, "L", (1, 1), "free")
 
 
 def test_fields_cannot_be_assigned_or_deleted(record):
