@@ -6,8 +6,7 @@ from .geometry import (Cell, Shape, custom, ell, gen_plus, gen_tee, make_shape,
 from .packing import (Arrangement, Board, Placement, cells_of, default_board,
                       enumerate_placements, is_maximal, is_valid, validate)
 from .solver import (BudgetExceededError, OracleGuardError, SolveResult,
-                     clumsy_number, first_maximal_arrangement,
-                     greedy_upper_bound, oracle_clumsy_number)
+                     clumsy_number, greedy_upper_bound, oracle_clumsy_number)
 from .theorems import (ConstructionError, HypothesisError, TheoremId,
                        TheoremReport, build_construction, build_example,
                        check_theorem, formula_value, instance_of, route)
@@ -23,10 +22,9 @@ __all__ = [
     "OracleGuardError", "Placement", "Shape", "SolveResult", "TheoremId",
     "TheoremReport", "build_construction", "build_example", "cells_of",
     "check_theorem", "clumsy_number", "custom", "default_board", "ell",
-    "enumerate_placements", "first_maximal_arrangement", "formula_value",
-    "from_arrangement", "gen_plus", "gen_tee", "greedy_upper_bound",
-    "instance_of", "is_maximal", "is_valid", "load_arrangement", "make_shape",
-    "oracle_clumsy_number", "plus", "rect", "render_ascii", "render_svg",
-    "rotate", "route", "save_arrangement", "straight_h", "straight_v", "tee",
-    "to_arrangement", "validate",
+    "enumerate_placements", "formula_value", "from_arrangement", "gen_plus",
+    "gen_tee", "greedy_upper_bound", "instance_of", "is_maximal", "is_valid",
+    "load_arrangement", "make_shape", "oracle_clumsy_number", "plus", "rect",
+    "render_ascii", "render_svg", "rotate", "route", "save_arrangement",
+    "straight_h", "straight_v", "tee", "to_arrangement", "validate",
 ]

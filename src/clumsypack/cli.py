@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-from .files import FileFormatError, load_arrangement, save_arrangement
+from .files import load_arrangement, save_arrangement
 from .geometry import FAMILIES, Cell, Shape, check_family, make_shape
 from .packing import MODES, Board, _verdict, default_board
 from .render import InvalidArrangementError, render_ascii, render_svg
@@ -357,8 +357,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return EXIT_PIPE
-    except (FileFormatError, HypothesisError, ConstructionError,
-            OracleGuardError, OSError, ValueError) as exc:
+    # FileFormatError and HypothesisError are ValueErrors.
+    except (ConstructionError, OracleGuardError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

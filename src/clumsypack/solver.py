@@ -5,12 +5,12 @@ that is valid and admits no further copy.  The search works on the conflict
 graph of placements, where a maximal arrangement is exactly an independent
 dominating set.  A solve has two phases, and both run one search loop.
 
-The loop (``_complete``) asks whether at most ``need`` independent picks
-from an allowed set dominate a set of undominated placements, or exactly
-``need`` when asked.  It evaluates every node, its entry included, with one
-walk of the packing of what is undominated: placements taken lowest first,
-no two sharing a neighbour, each of which needs a pick of its own.  With
-more members than picks left the node is dead.  Below the entry, with as
+The loop (``_complete``) asks one question: whether at most ``need``
+independent picks from an allowed set dominate a set of undominated
+placements.  It evaluates every node, its entry included, with one walk
+of the packing of what is undominated: placements taken lowest first, no
+two sharing a neighbour, each of which needs a pick of its own.  With more
+members than picks left the node is dead.  Below the entry, with as
 many members as picks left, the node is narrowed: each pick dominates
 exactly one member.  An undominated placement that shares no dominator with
 any other member is private to its member: only that member's pick can
@@ -43,12 +43,14 @@ greedy's is refuted, greedy's arrangement is the witness (see
 forbids its whole orbit under the board symmetries that map the placement
 set onto itself (``_symmetry_group``), in either mode.
 
-The witness phase builds the lexicographically first witness (by placement
-index) of size cp one position at a time.  Each position keeps the lowest
-candidate above the last pick, at position 0 an orbit minimum, that the
-loop can complete with exactly the picks still needed, all above it
-(``_lex_first``); the pass that builds the orbit masks (``_orbits``)
-yields the minima.  ``first_maximal_arrangement`` uses it at any size.
+The witness phase runs at cp only.  It builds the lexicographically first
+witness (by placement index) one position at a time.  Each position keeps
+the lowest candidate above the last pick, at position 0 an orbit minimum,
+that the loop can complete with at most the picks still needed, all above
+it (``_lex_first``); the pass that builds the orbit masks (``_orbits``)
+yields the minima.  At cp a completion with fewer picks would make a
+maximal arrangement smaller than cp, so every completion has exactly the
+picks still needed.
 
 A node is one candidate tested, in either phase, plus, at each narrowed
 node, the candidates its private placements reject: the branch member's, or
@@ -169,7 +171,7 @@ class _Search:
         return self.stop
 
 
-def _check_budget(node_budget: int, time_budget: float | None = None) -> None:
+def _check_budget(node_budget: int, time_budget: float | None) -> None:
     if operator.index(node_budget) < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
     # A NaN deadline compares False with every clock reading, so it would
@@ -254,17 +256,19 @@ def _indices(mask: int) -> Iterator[int]:
                               bin(mask)[2:].encode().translate(_BITS))
 
 
-def _complete(s: _Search, undom: int, allowed: int, need: int, exact: bool,
+def _complete(s: _Search, undom: int, allowed: int, need: int,
               orbits: list[int] | None = None) -> tuple[tuple[int, ...], int] | None:
     """Can at most ``need`` independent picks from ``allowed`` dominate
     ``undom``?  The picks in the order found, with the allowed mask of the
     entry as it stood before the first of them was tried, or None.
 
-    The masks are over the placements of ``s``, which also counts the
-    nodes.  With ``exact`` the picks must number exactly ``need``.
-    ``allowed`` lies within ``undom``, since a pick must be independent of
-    the picks that left ``undom``.  Every scan takes the highest bit first:
-    the lowest placement, in the numbering ``_Search`` gives the graph.
+    This is the search's one question.  The refuter asks it at each k, and
+    the witness phase at cp, where no completion has fewer picks than
+    asked for.  The masks are over the placements of ``s``, which also
+    counts the nodes.  ``allowed`` lies within ``undom``, since a pick must
+    be independent of the picks that left ``undom``.  Every scan takes the
+    highest bit first: the lowest placement, in the numbering ``_Search``
+    gives the graph.
 
     One loop evaluates the entry and then each candidate's child, each with
     one walk of the packing of its undominated placements; the module
@@ -299,10 +303,9 @@ def _complete(s: _Search, undom: int, allowed: int, need: int, exact: bool,
     a2 = before = allowed
     while True:
         if not u2:
-            if not (exact and left):
-                s.nodes = nodes
-                return tuple(picks[:d + 1]), before
-        elif left:
+            s.nodes = nodes
+            return tuple(picks[:d + 1]), before
+        if left:
             # Packing walk, stopped at left members; anything left in r
             # would be one more.
             r, j = u2, 0
@@ -392,34 +395,31 @@ def _complete(s: _Search, undom: int, allowed: int, need: int, exact: bool,
             c &= allowed
 
 
-def _lex_first(s: _Search, allowed: int, size: int,
-               found: tuple[int, ...] = ()) -> list[int] | None:
-    """Lexicographically first independent dominating set of exactly
-    ``size`` placements, as placement indices, or None, given that every
-    such set lies within ``allowed``.
+def _lex_first(s: _Search, allowed: int, found: tuple[int, ...]) -> list[int]:
+    """Lexicographically first independent dominating set of cp
+    placements, as placement indices, given ``found``, one such set, and
+    that every such set lies within ``allowed``.
 
-    The masks and ``found`` use the search's numbering (``_Search``), so
-    the placements above bit i lie below it.  Built one position at a
-    time: each keeps the lowest candidate above the last pick (at
-    position 0, one in ``s.firsts``) that ``_complete`` can extend by exactly
-    the picks still needed, all above it.  Each candidate is one node.
-    ``found`` is a known set of this size; the least member of the
+    Every smaller size must be refuted, so cp is ``len(found)`` and no
+    completion has fewer picks than it is asked for.  The masks and
+    ``found`` use the search's numbering (``_Search``), so the placements
+    above bit i lie below it.  Built one position at a time: each keeps the
+    lowest candidate above the last pick (at position 0, one in
+    ``s.firsts``) that ``_complete`` can extend by the picks still needed,
+    all above it.  Each candidate is one node.  The least member of the
     completion in hand passes without a search when it is the next
-    candidate.  Size 0 succeeds only when nothing is left to dominate.
+    candidate.  The set sought lies within ``allowed`` and opens at an
+    orbit minimum (``_orbits``), so every position finds its pick.
     """
     notnbr, bit = s.notnbr, s.bit
     undom = (1 << len(notnbr)) - 1
-    if size <= 0:
-        return None if size or undom else []
     top = len(notnbr) - 1
     c = s.firsts & allowed
     picks = []
     # The completion in hand, least member last.
     ahead = sorted(found)
-    for need in range(size - 1, -1, -1):
+    for need in range(len(found) - 1, -1, -1):
         while True:
-            if not c:
-                return None
             i = c.bit_length() - 1
             low = bit[i]
             c ^= low
@@ -428,7 +428,7 @@ def _lex_first(s: _Search, allowed: int, size: int,
             if ahead and ahead[-1] == i:
                 ahead.pop()
                 break
-            got = _complete(s, u2, u2 & allowed & (low - 1), need, True)
+            got = _complete(s, u2, u2 & allowed & (low - 1), need)
             if got is not None:
                 ahead = sorted(got[0])
                 break
@@ -572,7 +572,7 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
     # the candidate that succeeded: no independent dominating set of at
     # most s.lower placements leaves it.
     while s.lower < s.upper and (
-            hit := _complete(s, full, full, s.lower, False, s.orbit)) is None:
+            hit := _complete(s, full, full, s.lower, s.orbit)) is None:
         s.lower += 1
     k = s.lower
     if k == s.upper:
@@ -584,31 +584,9 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
         # independent set of its size, and hence the lex-first witness.
         return SolveResult(k, greedy, s.nodes, time.monotonic() - start)
     found, allowed = hit
-    got = _lex_first(s, allowed, k, found)
+    got = _lex_first(s, allowed, found)
     witness = Arrangement(board, shape, mode, _placements_at(shape, board, mode, got))
     return SolveResult(k, witness, s.nodes, time.monotonic() - start)
-
-
-def first_maximal_arrangement(shape: Shape, board: Board, mode: str, size: int,
-                              *, node_budget: int = DEFAULT_NODE_BUDGET
-                              ) -> Arrangement | None:
-    """Lex-first maximal arrangement of exactly ``size`` placements, or None.
-
-    At size cp this is the witness ``clumsy_number`` returns.
-    """
-    _check_budget(node_budget)
-    _check_mode(mode)
-    size = operator.index(size)
-    if size > board.n ** 2 // shape.size:
-        # No arrangement holds more disjoint pieces than the board has room for.
-        return None
-    s = _Search(_tables(shape, board, mode)[2], _symmetry_group(shape, board, mode),
-                node_budget)
-    # A budget stop here proves no bracket: it reports [0, unknown].
-    got = _lex_first(s, (1 << len(s.bit)) - 1, size)
-    if got is None:
-        return None
-    return Arrangement(board, shape, mode, _placements_at(shape, board, mode, got))
 
 
 # The definitional oracle refuses boards whose placement count would make

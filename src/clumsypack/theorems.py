@@ -17,9 +17,10 @@ import operator
 from enum import Enum, unique
 from typing import Callable
 
-from .geometry import Cell, Shape, _Record, custom, ell, plus, rect, straight_v, tee
+from .geometry import (Cell, Shape, _Record, check_family, custom, ell, plus, rect,
+                       straight_v, tee)
 from .packing import Arrangement, Board, Placement, _check_mode, _tables, _verdict, default_board
-from .solver import clumsy_number, first_maximal_arrangement
+from .solver import clumsy_number
 
 
 @unique
@@ -328,10 +329,15 @@ def check_theorem(theorem: TheoremId, params: tuple[int, ...],
 def route(family: str, mode: str, params: tuple[int, ...]
           ) -> tuple[TheoremId, tuple[int, ...]] | None:
     """The theorem (and its parameters) covering a family/mode instance,
-    or None when no entry applies."""
+    or None when no entry applies.
+
+    Raises ValueError for an unknown family, or for a parameter count the
+    family does not take.
+    """
     _check_mode(mode)
     f = str(family).lower()
     ps = tuple(operator.index(p) for p in params)
+    check_family(family, len(ps))
     if f in ("straight-v", "straight-h"):
         t = TheoremId.STRAIGHT_FIXED if mode == "fixed" else TheoremId.STRAIGHT_FREE
         return t, ps
@@ -382,8 +388,8 @@ def build_example(name: str) -> Arrangement:
                             Placement(0, Cell(3, 4)),
                             Placement(0, Cell(7, 4))))
     if name == "L27":
-        # The search is deterministic and finds one, so this is never None.
-        return first_maximal_arrangement(ell(2, 7), Board(10), "free", 4)
+        # cp is 4 here: the solver's lex-first witness.
+        return clumsy_number(ell(2, 7), Board(10), "free").witness
     if name == "T43":
         return Arrangement(Board(12), tee(4, 3), "free",
                            (Placement(0, Cell(5, 4)),

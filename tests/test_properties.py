@@ -8,15 +8,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from clumsypack import solver
-from clumsypack.geometry import Cell, custom, plus, rect, rotate, straight_v, tee
+from clumsypack.geometry import Cell, custom, plus, rect, rotate, straight_v
 from clumsypack.packing import (Arrangement, Board, Placement, _orientation, _placements_at,
                                 _tables, cells_of, enumerate_placements, is_maximal,
                                 is_valid, placement_masks, validate)
 from clumsypack.solver import (ORACLE_SOFT_MAX_K, ORACLE_SOFT_PLACEMENTS,
                                BudgetExceededError, OracleGuardError, _complete,
                                _conflict_graph, _indices, _packing_bound, _Search,
-                               _symmetry_group, clumsy_number, first_maximal_arrangement,
-                               greedy_upper_bound, oracle_clumsy_number)
+                               _symmetry_group, clumsy_number, greedy_upper_bound,
+                               oracle_clumsy_number)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -384,19 +384,6 @@ def test_witness_is_lex_first(instance):
     assert result.witness.placements == lex_first_maximal(*instance, result.clumsy_number)
 
 
-@SETTINGS
-@given(instances, st.integers(1, 2))
-@example(instance=(tee(1, 1), Board(4), "free"), extra=2)
-def test_first_maximal_above_cp_is_lex_first(instance, extra):
-    # Above cp the witness phase needs exactly the picks left: a completion
-    # that dominates everything early must not pass.
-    size = cp(*instance) + extra
-    p = len(placement_masks(*instance)[0])
-    assume(math.comb(p, size) <= ORACLE_SUBSET_LIMIT)
-    got = first_maximal_arrangement(*instance, size)
-    assert (got and got.placements) == lex_first_maximal(*instance, size)
-
-
 # Rotationally symmetric shapes: their placements are deduplicated, so the
 # board-rotation orbits of placement indices have uneven sizes.
 @pytest.mark.parametrize("shape,n", [(plus(1), 5), (plus(1), 7), (straight_v(2), 4),
@@ -406,9 +393,6 @@ def test_symmetric_shape_witnesses_are_lex_first(shape, n):
     result = clumsy_number(shape, board, "free")
     assert result.witness.placements == lex_first_maximal(
         shape, board, "free", result.clumsy_number)
-    size = result.clumsy_number + 1
-    got = first_maximal_arrangement(shape, board, "free", size)
-    assert (got and got.placements) == lex_first_maximal(shape, board, "free", size)
 
 
 @st.composite
@@ -468,12 +452,12 @@ def test_budget_at_the_node_count(instance):
         assert err.lower <= want.clumsy_number <= err.upper
 
 
-def brute_complete(nbr, undom, allowed, need, exact):
-    """Some independent set from ``allowed`` of exactly ``need`` placements
-    (at most ``need`` unless ``exact``) that dominates ``undom``, found by
-    trying every subset; None when there is none."""
+def brute_complete(nbr, undom, allowed, need):
+    """Some independent set from ``allowed`` of at most ``need`` placements
+    that dominates ``undom``, found by trying every subset; None when there
+    is none."""
     candidates = [i for i in range(len(nbr)) if allowed >> i & 1]
-    for size in [need] if exact else range(need + 1):
+    for size in range(need + 1):
         for combo in itertools.combinations(candidates, size):
             dom = 0
             for i in combo:
@@ -503,13 +487,12 @@ def test_complete_matches_brute_force(instance, data):
             undom &= notnbr[i]
     allowed = undom & ~data.draw(st.integers(0, (1 << len(cells)) - 1))
     need = data.draw(st.integers(0, 4))
-    exact = data.draw(st.booleans())
-    got = _complete(s, undom, allowed, need, exact)
-    want = brute_complete(nbr, undom, allowed, need, exact)
+    got = _complete(s, undom, allowed, need)
+    want = brute_complete(nbr, undom, allowed, need)
     assert (got is None) == (want is None)
     if got is not None:
         picks = got[0]
-        assert len(picks) == need if exact else len(picks) <= need
+        assert len(picks) <= need
         dom = 0
         for i in picks:
             assert allowed >> i & 1

@@ -4,11 +4,11 @@ import pickle
 import pytest
 
 from clumsypack.geometry import Cell, ell, plus, rect, straight_h, straight_v, tee
-from clumsypack.packing import (Arrangement, Board, Placement, default_board, is_maximal,
-                                is_valid)
-from clumsypack.solver import (BudgetExceededError, OracleGuardError, _orbits, _Search,
-                               _symmetry_group, clumsy_number, first_maximal_arrangement,
-                               greedy_upper_bound, oracle_clumsy_number)
+from clumsypack.packing import (Arrangement, Board, Placement, _placements_at, _tables,
+                                default_board, is_maximal, is_valid)
+from clumsypack.solver import (BudgetExceededError, OracleGuardError, _complete,
+                               _lex_first, _orbits, _Search, _symmetry_group,
+                               clumsy_number, greedy_upper_bound, oracle_clumsy_number)
 
 
 def first_picks(shape, board, mode):
@@ -266,8 +266,6 @@ class TestBudget:
     def test_negative_node_budget_rejected(self):
         with pytest.raises(ValueError, match="node budget"):
             clumsy_number(straight_v(5), mode="free", node_budget=-5)
-        with pytest.raises(ValueError, match="node budget"):
-            first_maximal_arrangement(tee(4, 3), Board(12), "free", 2, node_budget=-3)
 
     @pytest.mark.parametrize("budget", [1000.5, 2.0])
     def test_fractional_node_budget_rejected(self, budget):
@@ -275,16 +273,11 @@ class TestBudget:
         # count such as 1001.5 nodes.
         with pytest.raises(TypeError):
             clumsy_number(tee(1, 1), Board(7), node_budget=budget)
-        with pytest.raises(TypeError):
-            first_maximal_arrangement(tee(1, 1), Board(7), "free", 6, node_budget=budget)
 
     def test_bool_node_budget_counts_as_int(self):
         with pytest.raises(BudgetExceededError) as ei:
             clumsy_number(tee(1, 1), Board(7), node_budget=True)
         assert ei.value.nodes == 2 and type(ei.value.nodes) is int
-        with pytest.raises(BudgetExceededError) as ei:
-            first_maximal_arrangement(tee(1, 1), Board(7), "free", 6, node_budget=False)
-        assert ei.value.nodes == 1
 
     @pytest.mark.parametrize("seconds", [float("nan"), -1.0])
     def test_nan_or_negative_time_budget_rejected(self, seconds):
@@ -310,64 +303,19 @@ class TestBudget:
         assert (err.lower, err.upper, err.nodes) == (1, 2, 1)
 
 
-class TestFirstMaximal:
-    def test_no_small_maximal_arrangement(self):
-        assert first_maximal_arrangement(tee(4, 3), Board(12), "free", 1) is None
-
-    def test_finds_requested_size(self):
-        arr = first_maximal_arrangement(tee(4, 3), Board(12), "free", 2)
-        assert arr is not None
-        assert arr.size == 2
-        assert is_valid(arr) and is_maximal(arr)
-
-    def test_exact_size_above_cp(self):
-        # cp is 2; four T-tetrominoes must tile the 4x4 board.  The first
-        # picks also extend to smaller maximal arrangements, which must not
-        # pass as completions of size 4.
-        arr = first_maximal_arrangement(tee(1, 1), Board(4), "free", 4)
-        assert arr.placements == (Placement(0, Cell(2, 1)), Placement(1, Cell(4, 2)),
-                                  Placement(2, Cell(3, 4)), Placement(3, Cell(1, 3)))
-
-    def test_depth_beyond_the_recursion_limit(self):
-        arr = first_maximal_arrangement(rect(1, 1), Board(33), "fixed", 1089)
-        assert arr is not None and arr.size == 1089
-        assert is_valid(arr) and is_maximal(arr)
-
-    def test_board_too_small_for_any_piece(self):
-        # With no placement, only the empty arrangement is maximal.
-        arr = first_maximal_arrangement(ell(3, 6), Board(3), "free", 0)
-        assert arr == Arrangement(Board(3), ell(3, 6), "free", ())
-        assert first_maximal_arrangement(ell(3, 6), Board(3), "free", 1) is None
-
-    def test_budget_stop_proves_no_bracket(self):
-        with pytest.raises(BudgetExceededError) as info:
-            first_maximal_arrangement(tee(1, 1), Board(7), "free", 7, node_budget=5)
-        assert (info.value.nodes, info.value.lower, info.value.upper) == (6, 0, None)
-
-    @pytest.mark.parametrize("size", [10, 10 ** 9])
-    def test_size_past_the_board_area_is_none_at_once(self, size):
-        # Nine L(1,2) tetrominoes cover 36 cells, so no more fit on 6x6;
-        # no search runs, so no node is spent, and no list of ``size``
-        # picks is made.
-        assert first_maximal_arrangement(ell(1, 2), Board(6), "free", size,
-                                         node_budget=0) is None
-
-    def test_size_past_the_board_area_still_checks_the_mode(self):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            first_maximal_arrangement(ell(1, 2), Board(6), "Fixed", 10 ** 9)
-
-    @pytest.mark.parametrize("size", [2.0, 10.0])
-    def test_size_that_is_no_integer_raises_at_once(self, size):
-        # Past the board area as below it, before any search is set up.
-        with pytest.raises(TypeError):
-            first_maximal_arrangement(ell(1, 2), Board(6), "free", size, node_budget=0)
-
-    @pytest.mark.parametrize("size", [0, -1])
-    def test_nonpositive_size_is_none_at_once(self, size):
-        # placements exist, so no arrangement of this size is maximal; a
-        # search would spend far more than this budget to find that out
-        assert first_maximal_arrangement(ell(1, 2), Board(8), "free", size,
-                                         node_budget=1000) is None
+def test_depth_beyond_the_recursion_limit():
+    # Monominoes fixed on 33x33: the refuter's call at cp = 1,089 and the
+    # witness phase both go 1,089 picks deep, far past Python's recursion
+    # limit.
+    shape, board = rect(1, 1), Board(33)
+    s = _Search(_tables(shape, board, "fixed")[2], _symmetry_group(shape, board, "fixed"),
+                10 ** 9)
+    full = (1 << len(s.bit)) - 1
+    found, allowed = _complete(s, full, full, 1089)
+    got = _lex_first(s, allowed, found)
+    assert len(found) == len(got) == 1089
+    arr = Arrangement(board, shape, "fixed", _placements_at(shape, board, "fixed", got))
+    assert is_valid(arr) and is_maximal(arr)
 
 
 class TestOracleGuards:

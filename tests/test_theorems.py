@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -308,6 +309,19 @@ class TestRoute:
                                            ("straight-v", ("4",))])
     def test_parameters_must_be_integers(self, family, ps):
         with pytest.raises(TypeError):
+            route(family, "free", ps)
+
+    # A count the family does not take names no instance, so no theorem.
+    @pytest.mark.parametrize("family,ps,message", [
+        ("plus", (), "family 'plus' takes 1 parameter(s), got 0"),
+        ("T", (1,), "family 'T' takes 2 parameter(s), got 1"),
+        ("rect", (1, 2, 3), "family 'rect' takes 2 parameter(s), got 3"),
+        ("straight-v", (), "family 'straight-v' takes 1 parameter(s), got 0"),
+        ("custom", (2,), "family 'custom' takes no parameters, got 1"),
+        ("hook", (1,), "unknown family 'hook'; expected one of rect, "),
+    ])
+    def test_parameter_count_must_fit_the_family(self, family, ps, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             route(family, "free", ps)
 
     @pytest.mark.parametrize("mode", ["Fixed", "FREE", "", "translations"])
