@@ -41,14 +41,15 @@ arrangement is the answer and no node is searched; when every size below
 greedy's is refuted, greedy's arrangement is the witness (see
 ``clumsy_number``).  At the root of a refuter call, a refuted candidate
 forbids its whole orbit under the board symmetries that map the placement
-set onto itself (``_symmetry_group``), in either mode.
+set onto itself (``_symmetry_group``), in either mode.  This is the
+search's one symmetry step.
 
 The witness phase runs at cp only.  It builds the lexicographically first
-witness (by placement index) one position at a time.  Each position keeps
-the lowest candidate above the last pick, at position 0 an orbit minimum,
-that the loop can complete with at most the picks still needed, all above
-it (``_lex_first``); the pass that builds the orbit masks (``_orbits``)
-yields the minima.  At cp a completion with fewer picks would make a
+witness (by placement index) one position at a time, within the allowed
+mask of the refuter's root as it stood when the call at cp succeeded.  Each
+position keeps the lowest allowed candidate above the last pick that the
+loop can complete with at most the picks still needed, all above it
+(``_lex_first``).  At cp a completion with fewer picks would make a
 maximal arrangement smaller than cp, so every completion has exactly the
 picks still needed.
 
@@ -127,21 +128,21 @@ class _Search:
 
     ``cells`` are the placements' cell bits (``_tables(...)[2]``) and
     ``group`` their symmetry maps (``_symmetry_group``).  The conflict graph
-    (``_conflict_graph``), the orbit masks and the orbit minima (``_orbits``)
-    number placements from the end, as the module docstring says.  ``lower``
+    (``_conflict_graph``) and the orbit masks (``_orbits``) number
+    placements from the end, as the module docstring says.  ``lower``
     and ``upper`` are the bracket proved so far, which a budget stop
     reports.  The search keeps its node count in a local variable and calls
     ``spend`` only once that count reaches ``stop``, so a node costs one
     comparison.
     """
 
-    __slots__ = ("nbr", "notnbr", "notfar", "bit", "orbit", "firsts",
+    __slots__ = ("nbr", "notnbr", "notfar", "bit", "orbit",
                  "lower", "upper", "node_budget", "deadline", "nodes", "stop")
 
     def __init__(self, cells: tuple[tuple[int, ...], ...], group: list[list[int]],
                  node_budget: int, time_budget: float | None = None):
         self.nbr, self.notnbr, self.notfar, self.bit = _conflict_graph(cells[::-1])
-        self.orbit, self.firsts = _orbits(group)
+        self.orbit = _orbits(group)
         self.lower, self.upper = 0, None
         self.node_budget = node_budget
         # The clock starts once the graph is built.
@@ -404,21 +405,22 @@ def _lex_first(s: _Search, allowed: int, found: tuple[int, ...]) -> list[int]:
     completion has fewer picks than it is asked for.  The masks and
     ``found`` use the search's numbering (``_Search``), so the placements
     above bit i lie below it.  Built one position at a time: each keeps the
-    lowest candidate above the last pick (at position 0, one in
-    ``s.firsts``) that ``_complete`` can extend by the picks still needed,
-    all above it.  Each candidate is one node.  The least member of the
-    completion in hand passes without a search when it is the next
-    candidate.  The set sought lies within ``allowed`` and opens at an
-    orbit minimum (``_orbits``), so every position finds its pick.
+    lowest allowed candidate above the last pick that ``_complete`` can
+    extend by the picks still needed, all above it.  Each candidate is one
+    node.  The least member of the completion in hand passes without a
+    search when it is the next candidate.  The set sought lies within
+    ``allowed``, so every position finds its pick.
     """
     notnbr, bit = s.notnbr, s.bit
-    undom = (1 << len(notnbr)) - 1
     top = len(notnbr) - 1
-    c = s.firsts & allowed
+    # Above every placement, so position 0 may take any allowed one.
+    low = 1 << len(notnbr)
+    undom = low - 1
     picks = []
     # The completion in hand, least member last.
     ahead = sorted(found)
     for need in range(len(found) - 1, -1, -1):
+        c = undom & allowed & (low - 1)
         while True:
             i = c.bit_length() - 1
             low = bit[i]
@@ -434,7 +436,6 @@ def _lex_first(s: _Search, allowed: int, found: tuple[int, ...]) -> list[int]:
                 break
         picks.append(top - i)
         undom = u2
-        c = undom & allowed & (low - 1)
     return picks
 
 
@@ -495,31 +496,20 @@ def _symmetry_group(shape: Shape, board: Board, mode: str) -> list[list[int]]:
     return list(maps.values())
 
 
-def _orbits(group: list[list[int]]) -> tuple[list[int], int]:
-    """Mask of each placement's orbit under the group, and the mask of the
-    placements that are the least of their orbit, in the search's numbering
-    (``_Search``): orbit[top - p] is the orbit of placement p.
-
-    Placements are visited in index order, so the one that opens an orbit
-    is its least member.  The lex-first maximal arrangement of any size
-    opens at one of these minima.  Suppose it opened at f with g(f) < f for
-    some symmetry g.  Then g maps it to another maximal arrangement of the
-    same size whose least index is at most g(f) < f, so it comes
-    lex-before: a contradiction.
-    """
+def _orbits(group: list[list[int]]) -> list[int]:
+    """Mask of each placement's orbit under the group, in the search's
+    numbering (``_Search``): orbit[top - p] is the orbit of placement p."""
     top = len(group[0]) - 1
     orbit = [0] * (top + 1)
-    firsts = 0
     for p in range(top + 1):
         if not orbit[top - p]:
-            firsts |= 1 << (top - p)
             members = {top - g[p] for g in group}
             m = 0
             for j in members:
                 m |= 1 << j
             for j in members:
                 orbit[j] = m
-    return orbit, firsts
+    return orbit
 
 
 def greedy_upper_bound(shape: Shape, board: Board | None = None,

@@ -100,8 +100,9 @@ def _blocking_grid_starts(n: int, w: int) -> list[int]:
 
     First block begins at w (leaving a w-1 margin), then every 2w-1; if the
     trailing margin could still hold a block, one more goes flush at the end.
-    Every gap between blocks ends up at most w-1 wide.  The claim's board
-    side n = ab holds at least one block along either axis.
+    Every gap between blocks ends up at most w-1 wide.  Each caller's
+    board holds at least one block: side n = ab holds a rectangle's a or b,
+    and a T's side n = 2a + b + 1 holds its b + 1 rows.
     """
     starts = []
     s = w
@@ -127,17 +128,9 @@ def _straight_construction(n: int, _: int) -> tuple[Placement, ...]:
 
 
 def _t_fixed_wide_construction(n: int, a: int, b: int) -> tuple[Placement, ...]:
-    xstar = max(a, b) + 1
-    ys = []
-    y = b + 1
-    while y + b <= n:
-        ys.append(y)
-        y += 2 * b + 1
-    if ys[-1] < n - 2 * b:
-        # The progression stopped one bar short of the bottom window; a
-        # final piece flush with the bottom edge closes it.
-        ys.append(n - b)
-    return tuple(Placement(0, Cell(xstar, yy)) for yy in ys)
+    # Each T spans b + 1 rows, its bar on the first.
+    return tuple(Placement(0, Cell(max(a, b) + 1, y))
+                 for y in _blocking_grid_starts(n, b + 1))
 
 
 def _t_fixed_tall_construction(_: int, a: int, b: int) -> tuple[Placement, ...]:

@@ -10,8 +10,7 @@ import time
 
 from clumsypack.files import dumps, from_arrangement, loads, save_arrangement, to_arrangement
 from clumsypack.geometry import Cell, custom, ell, make_shape, plus, rect, straight_h, straight_v, tee
-from clumsypack.packing import (Arrangement, Board, Placement, cells_of,
-                                default_board, is_maximal, is_valid)
+from clumsypack.packing import Arrangement, Board, Placement, is_maximal, is_valid
 from clumsypack.render import render_ascii
 from clumsypack.solver import clumsy_number, oracle_clumsy_number
 from clumsypack.theorems import (TheoremId, build_construction, build_example,

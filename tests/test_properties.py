@@ -411,7 +411,8 @@ def identity_group(shape, board, mode):
 @given(wider_instances())
 def test_symmetry_pruning_keeps_cp_and_witness(instance):
     # Past the oracle's reach: with the identity as the only symmetry no
-    # orbit is forbidden and every first pick is an orbit minimum.
+    # orbit is forbidden and the witness phase searches the whole allowed
+    # mask.
     want = clumsy_number(*instance)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_symmetry_group", identity_group)

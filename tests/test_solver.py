@@ -12,12 +12,12 @@ from clumsypack.solver import (BudgetExceededError, OracleGuardError, _complete,
 
 
 def first_picks(shape, board, mode):
-    """Indices the lex-first witness may open at: the orbit minima.  The
-    masks number placements from the end, so placement i is bit top - i."""
+    """The least placement of each orbit.  The masks number placements
+    from the end, so placement i is bit top - i and an orbit's least
+    placement is its highest bit."""
     group = _symmetry_group(shape, board, mode)
-    firsts = _orbits(group)[1]
     top = len(group[0]) - 1
-    return tuple(sorted(top - j for j in range(firsts.bit_length()) if firsts >> j & 1))
+    return tuple(sorted({top - (orbit.bit_length() - 1) for orbit in _orbits(group)}))
 
 
 class TestStraights:
@@ -132,8 +132,10 @@ class TestLowerBound:
 # (shape, board, mode, cp, nodes) as the search counts them; any change to
 # what the search visits changes some count.  L(9,9) free on 19 opens at
 # k = 1, where the refuter's root tries its candidates one at a time and
-# forbids each refuted candidate's orbit.  The last two are the instances
-# the benchmark's 1M-node frontier pass closes.
+# forbids each refuted candidate's orbit.  The benchmark's 1M-node frontier
+# pass closes the last three and L(1,3) free on 8.  The last, rect(2,2) fixed
+# on 10, is the one pin whose witness phase tries, at position 0, placements
+# that are not the least of their orbits.
 NODE_COUNTS = [
     (ell(9, 9), 19, "free", 2, 483),
     (ell(3, 6), 10, "free", 3, 970),
@@ -142,6 +144,7 @@ NODE_COUNTS = [
     (rect(2, 2), 9, "fixed", 9, 82),
     (straight_v(4), 8, "free", 9, 173_727),
     (ell(1, 2), 8, "free", 7, 110_980),
+    (rect(2, 2), 10, "fixed", 9, 58),
 ]
 
 # (shape, board, mode, node budget, lower, upper, nodes) of budget stops in
@@ -360,12 +363,10 @@ class TestSymmetry:
     def test_orbit_masks_are_closed_under_the_group(self, shape, n, mode):
         group = _symmetry_group(shape, Board(n), mode)
         assert group[0] == list(range(len(group[0])))
-        orbits, firsts = _orbits(group)
+        orbits = _orbits(group)
         # The masks number placements from the end: placement i is bit
-        # top - i, and orbits[j] is the orbit of bit j.  So the minima are
-        # the highest bit of each orbit.
+        # top - i, and orbits[j] is the orbit of bit j.
         top = len(group[0]) - 1
-        assert firsts == sum({1 << (orbit.bit_length() - 1) for orbit in orbits})
         for j, orbit in enumerate(orbits):
             assert orbit >> j & 1
             for g in group:

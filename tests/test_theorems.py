@@ -4,8 +4,7 @@ import re
 import pytest
 
 from clumsypack import packing
-from clumsypack.geometry import (Cell, custom, ell, make_shape, plus, rect, rotate,
-                                 tee)
+from clumsypack.geometry import Cell, custom, make_shape, rect, rotate, tee
 from clumsypack.packing import (Arrangement, Board, Placement, default_board, is_maximal,
                                 is_valid)
 from clumsypack.solver import clumsy_number
