@@ -160,8 +160,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                node_budget=args.node_budget,
                                time_budget=args.time_budget)
     except BudgetExceededError as exc:
-        print(f"budget exhausted after {exc.nodes} nodes: "
-              f"cp in [{exc.lower}, {exc.upper}]")
+        if exc.lower == exc.upper:
+            found = f"cp = {exc.lower} proven, lex-first witness unfinished"
+        else:
+            found = f"cp in [{exc.lower}, {exc.upper}]"
+        print(f"budget exhausted after {exc.nodes} nodes: {found}")
         return EXIT_BUDGET
     print(f"cp = {result.clumsy_number}")
     print(f"nodes = {result.nodes_explored}")
@@ -295,24 +298,30 @@ def cmd_scan(args: argparse.Namespace) -> int:
                                    node_budget=args.node_budget,
                                    time_budget=args.time_budget)
         except BudgetExceededError as exc:
-            claim_text = "no claim" if claim is None else f"claim = {_format_value(claim)}"
-            print(f"{label}: budget exhausted (cp in [{exc.lower}, {exc.upper}]), "
-                  f"{claim_text} -> inconclusive")
-            counts["inconclusive"] += 1
-            continue
-        cp = result.clumsy_number
+            lower, upper = exc.lower, exc.upper
+            found = f"budget exhausted (cp in [{lower}, {upper}])"
+        else:
+            lower = upper = result.clumsy_number
+            found = f"cp = {lower}"
         if claim is None:
-            print(f"{label}: cp = {cp}, no claim -> inconclusive")
+            print(f"{label}: {found}, no claim -> inconclusive")
             counts["inconclusive"] += 1
             continue
         lo, hi = _bracket(claim)
-        verdict = "supports" if lo <= cp <= hi else "refutes"
+        # cp lies in [lower, upper], so a bracket inside the claim's range
+        # supports it and one disjoint from that range refutes it.
+        if lo <= lower and upper <= hi:
+            verdict = "supports"
+        elif upper < lo or hi < lower:
+            verdict = "refutes"
+        else:
+            verdict = "inconclusive"
         # cp is 0 only when no piece fits, so a refuted claim <= 0 tests the
         # formula's range, not the paper's value.
         note = ""
         if verdict == "refutes" and hi <= 0:
             note = " (claim ≤ 0: formula out of range)"
-        print(f"{label}: cp = {cp}, claim = {_format_value(claim)} -> {verdict}{note}")
+        print(f"{label}: {found}, claim = {_format_value(claim)} -> {verdict}{note}")
         counts[verdict] += 1
     print(f"supports: {counts['supports']}, refutes: {counts['refutes']}, "
           f"inconclusive: {counts['inconclusive']}")

@@ -36,13 +36,14 @@ placement indices.  Lowest, first and above mean placement order.
 The refuter calls the loop on the whole graph for k = start, start + 1,
 ...  One call at k refutes every size up to k, so the first k that succeeds
 is the clumsy number cp.  The start is the packing bound of the whole
-graph.  When the bound meets the greedy arrangement's size, that
-arrangement is the answer and no node is searched; when every size below
-greedy's is refuted, greedy's arrangement is the witness (see
-``clumsy_number``).  At the root of a refuter call, a refuted candidate
-forbids its whole orbit under the board symmetries that map the placement
-set onto itself (``_symmetry_group``), in either mode.  This is the
-search's one symmetry step.
+graph.  When the bound meets the size of the sweep's arrangement (every
+placement that still fits, in placement order), that arrangement is the
+answer and no node is searched; when every size below the sweep's is
+refuted, the sweep's arrangement is the witness (see ``clumsy_number``).
+At the root of a refuter call, a refuted candidate forbids its whole orbit
+under the board symmetries that map the placement set onto itself
+(``_symmetry_group``), in either mode.  This is the search's one symmetry
+step.
 
 The witness phase runs at cp only.  It builds the lexicographically first
 witness (by placement index) one position at a time, within the allowed
@@ -59,6 +60,12 @@ all of those of the member that kills the node.  One ``_Search`` per solve
 carries the graph, the orbit masks, the proven bracket and the node and
 time budgets, which are checked as nodes are counted, so they hold in both
 phases.
+
+A budget stop reports the bracket proven so far.  Its lower end is the
+refuter's k, and its upper end the size of ``greedy_upper_bound``'s
+arrangement, which realises it: the smaller of the sweep in placement
+order and a most-constrained-first construction (``_construction``).  Only
+a stop builds the construction, so a solve that closes never pays for it.
 
 A second, deliberately naive oracle recomputes small instances straight from
 the definition so the two routes can be compared in tests.
@@ -89,13 +96,23 @@ class BudgetExceededError(RuntimeError):
     """Search ran out of nodes or time; carries the bracket proved so far."""
 
     def __init__(self, lower: int, upper: int | None, nodes: int):
+        super().__init__()
         self.lower = lower
         self.upper = upper
         self.nodes = nodes
-        up = "unknown" if upper is None else str(upper)
-        super().__init__(
-            f"search budget exhausted after {nodes} nodes; "
-            f"clumsy number is in [{lower}, {up}]")
+
+    def __str__(self) -> str:
+        # Built from the fields, so the bracket tightened on the way out of
+        # ``clumsy_number`` shows.
+        if self.lower == self.upper:
+            found = f"is {self.lower}, proven; the lex-first witness is unfinished"
+        else:
+            up = "unknown" if self.upper is None else str(self.upper)
+            found = f"is in [{self.lower}, {up}]"
+        return f"search budget exhausted after {self.nodes} nodes; clumsy number {found}"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.lower!r}, {self.upper!r}, {self.nodes!r})"
 
     def __reduce__(self):
         # Rebuilt from the bracket, so the error survives pickle and copy.
@@ -131,9 +148,9 @@ class _Search:
     (``_conflict_graph``) and the orbit masks (``_orbits``) number
     placements from the end, as the module docstring says.  ``lower``
     and ``upper`` are the bracket proved so far, which a budget stop
-    reports.  The search keeps its node count in a local variable and calls
-    ``spend`` only once that count reaches ``stop``, so a node costs one
-    comparison.
+    reports once ``clumsy_number`` has tightened its upper end.  The search
+    keeps its node count in a local variable and calls ``spend`` only once
+    that count reaches ``stop``, so a node costs one comparison.
     """
 
     __slots__ = ("nbr", "notnbr", "notfar", "bit", "orbit",
@@ -512,17 +529,37 @@ def _orbits(group: list[list[int]]) -> list[int]:
     return orbit
 
 
-def greedy_upper_bound(shape: Shape, board: Board | None = None,
-                       mode: str = "free",
-                       seed: tuple[Placement, ...] = ()) -> Arrangement:
-    """A maximal arrangement built by one greedy sweep in placement order.
+def _construction(nbr: list[int]) -> list[int]:
+    """A maximal arrangement built most-constrained first, as indices of
+    the conflict graph ``nbr`` (the search's numbering in ``_Search``).
 
-    Optional seed placements are laid down first (and must form a valid
-    partial arrangement).  The sweep adds every placement that still fits,
-    so the result cannot be extended: it is maximal by construction.
+    Until nothing is undominated, it takes the undominated placement with
+    the fewest undominated dominators, scanned lowest first and stopping at
+    the first with one, and picks its undominated dominator that dominates
+    the most undominated placements, lowest first on ties.  Every pick is
+    undominated, so the picks are independent and, once nothing is
+    undominated, dominating: a maximal arrangement.
     """
-    if board is None:
-        board = default_board(shape)
+    undom = (1 << len(nbr)) - 1
+    picks = []
+    while undom:
+        fewest = len(nbr) + 1
+        for u in _indices(undom):
+            b = nbr[u] & undom
+            count = b.bit_count()
+            if count < fewest:
+                best, fewest = b, count
+                if count == 1:
+                    break
+        pick = max(_indices(best), key=lambda v: (nbr[v] & undom).bit_count())
+        picks.append(pick)
+        undom &= ~nbr[pick]
+    return picks
+
+
+def _sweep(shape: Shape, board: Board, mode: str,
+           seed: tuple[Placement, ...] = ()) -> Arrangement:
+    """The seed, then every placement that still fits, in placement order."""
     masks = _tables(shape, board, mode)[1]
     arr = Arrangement(board, shape, mode, tuple(seed))
     # With no seed the board starts empty, and there is nothing to check.
@@ -538,6 +575,34 @@ def greedy_upper_bound(shape: Shape, board: Board | None = None,
                        arr.placements + _placements_at(shape, board, mode, chosen))
 
 
+def greedy_upper_bound(shape: Shape, board: Board | None = None,
+                       mode: str = "free",
+                       seed: tuple[Placement, ...] = ()) -> Arrangement:
+    """A maximal arrangement built greedily: the upper end of the bracket
+    that a budget stop of ``clumsy_number`` reports is its size.
+
+    With no seed, the smaller of two: one sweep in placement order, which
+    adds every placement that still fits, and the most-constrained-first
+    construction (``_construction``), its placements in placement order.
+    A tie keeps the sweep.  Seed placements (which must form a valid
+    partial arrangement) are laid down first, and the sweep alone extends
+    them.  Either way the result cannot be extended: it is maximal by
+    construction.
+    """
+    if board is None:
+        board = default_board(shape)
+    sweep = _sweep(shape, board, mode, seed)
+    if seed:
+        return sweep
+    cells = _tables(shape, board, mode)[2]
+    picks = _construction(_conflict_graph(cells[::-1])[0])
+    if len(picks) >= sweep.size:
+        return sweep
+    top = len(cells) - 1
+    return Arrangement(board, shape, mode, _placements_at(
+        shape, board, mode, sorted(top - i for i in picks)))
+
+
 def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
                   *, node_budget: int = DEFAULT_NODE_BUDGET,
                   time_budget: float | None = None) -> SolveResult:
@@ -550,31 +615,39 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
     if board is None:
         board = default_board(shape)
     start = time.monotonic()
-    greedy = greedy_upper_bound(shape, board, mode)
+    sweep = _sweep(shape, board, mode)
     s = _Search(_tables(shape, board, mode)[2], _symmetry_group(shape, board, mode),
                 node_budget, time_budget)
     full = (1 << len(s.bit)) - 1
-    s.upper = greedy.size
+    s.upper = sweep.size
     s.lower = _packing_bound(s.notfar, full)
     # Every size below s.lower is refuted (the packing bound refutes those
     # below the start), and one call at s.lower refutes every size up to
     # it.  A success comes with the root's allowed mask as it stood before
     # the candidate that succeeded: no independent dominating set of at
     # most s.lower placements leaves it.
-    while s.lower < s.upper and (
-            hit := _complete(s, full, full, s.lower, s.orbit)) is None:
-        s.lower += 1
-    k = s.lower
-    if k == s.upper:
-        # Every size below greedy's is refuted; with nothing on the board,
-        # greedy is empty and k = upper = 0.  Greedy keeps, in index order,
-        # each placement that fits beside the ones it kept.  An independent
-        # set of the same size that agrees with greedy's first j picks
-        # cannot pick below greedy's next one, so greedy is the lex-least
-        # independent set of its size, and hence the lex-first witness.
-        return SolveResult(k, greedy, s.nodes, time.monotonic() - start)
-    found, allowed = hit
-    got = _lex_first(s, allowed, found)
+    try:
+        while s.lower < s.upper and (
+                hit := _complete(s, full, full, s.lower, s.orbit)) is None:
+            s.lower += 1
+        k = s.lower
+        if k == s.upper:
+            # Every size below the sweep's is refuted; with nothing on the
+            # board, the sweep is empty and k = upper = 0.  The sweep keeps,
+            # in index order, each placement that fits beside the ones it
+            # kept.  An independent set of the same size that agrees with
+            # the sweep's first j picks cannot pick below its next one, so
+            # the sweep is the lex-least independent set of its size, and
+            # hence the lex-first witness.
+            return SolveResult(k, sweep, s.nodes, time.monotonic() - start)
+        found, allowed = hit
+        got = _lex_first(s, allowed, found)
+    except BudgetExceededError as exc:
+        # Only a stop pays for the construction; the upper end is then
+        # the size of greedy_upper_bound's arrangement.  Re-raised as it
+        # is, so no other exception becomes its context.
+        exc.upper = min(exc.upper, len(_construction(s.nbr)))
+        raise
     witness = Arrangement(board, shape, mode, _placements_at(shape, board, mode, got))
     return SolveResult(k, witness, s.nodes, time.monotonic() - start)
 

@@ -10,7 +10,7 @@ import pytest
 
 from clumsypack import cli, packing, solver, theorems
 from clumsypack.files import dumps, from_arrangement, load_arrangement, save_arrangement
-from clumsypack.geometry import Cell, plus
+from clumsypack.geometry import Cell, plus, straight_v
 from clumsypack.packing import Arrangement, Board, Placement
 from clumsypack.theorems import build_example
 
@@ -69,6 +69,15 @@ class TestSolve:
         assert code == 3
         assert out.startswith("budget exhausted after ")
         assert "cp in [" in out
+
+    def test_closed_budget_stop_says_cp_is_proven(self, run_cli):
+        # One node short of the full solve (6,426 nodes) stops in the
+        # witness phase, where the construction's 6 pieces meet the proven
+        # lower end.
+        assert run_cli(["solve", "--family", "T", "--params", "1,1", "--board", "7",
+                        "--node-budget", "6425"]) == (
+            3, "budget exhausted after 6426 nodes: "
+               "cp = 6 proven, lex-first witness unfinished\n", "")
 
     def test_time_budget_exit(self, run_cli):
         # straight(3) free on 9x9 stays open after millions of nodes; the
@@ -304,6 +313,22 @@ class TestScan:
         assert "budget exhausted" in out
         assert out.splitlines()[-1].endswith("inconclusive: 4")
 
+    def test_budget_rows_judged_by_their_bracket(self, run_cli, monkeypatch):
+        # straight(3) free on 9 stops at [11, 18] after 1,000 nodes: inside
+        # 10..20 it supports, apart from 9 it refutes, and around 16 it
+        # cannot tell.
+        rows = [(straight_v(3), Board(9), "free", "straight-v(3) free", claim)
+                for claim in ((10, 20), 16, 9)]
+        monkeypatch.setattr(cli, "_scan_rows", lambda scan_id, limit: iter(rows))
+        assert run_cli(["scan", "L-free-exact", "--node-budget", "1000"]) == (
+            1, "straight-v(3) free: budget exhausted (cp in [11, 18]), "
+               "claim = 10..20 -> supports\n"
+               "straight-v(3) free: budget exhausted (cp in [11, 18]), "
+               "claim = 16 -> inconclusive\n"
+               "straight-v(3) free: budget exhausted (cp in [11, 18]), "
+               "claim = 9 -> refutes\n"
+               "supports: 1, refutes: 1, inconclusive: 1\n", "")
+
     def test_row_without_a_claim_is_inconclusive(self, run_cli):
         assert run_cli(["scan", "T-gen", "--limit", "4"]) == (
             0, "gen-T(1,1,1) free: cp = 2, no claim -> inconclusive\n"
@@ -406,7 +431,7 @@ class TestUsageErrors:
         assert run_cli(["table", "--family", "T", "--mode", "free", "--params", "1,1",
                         "--check"]) == (
             3, "", "error: search budget exhausted after 11 nodes; "
-                   "clumsy number is in [2, 3]\n")
+                   "clumsy number is 2, proven; the lex-first witness is unfinished\n")
 
     def test_hypothesis_violation_noted_per_row(self, run_cli):
         # a bad row must not abort the rest of a table sweep
@@ -438,7 +463,7 @@ class TestParserReuse:
             (code, out, _) = first
         assert (usage_code, usage_out) == (2, [])
         assert "invalid int value: 'x'" in usage_err
-        assert budget_code == 3 and budget_out[0].endswith("cp in [4, 9]")
+        assert budget_code == 3 and budget_out[0].endswith("cp in [4, 6]")
         # The default budget comes back after a call that set its own.
         assert cli.DEFAULT_NODE_BUDGET > 6426
         assert (code, out[:2]) == (0, ["cp = 6", "nodes = 6426"])

@@ -309,7 +309,16 @@ def test_mask_check_matches_per_cell_reference(arrangement):
             m & reference_occupancy(arrangement)
             for m in placement_masks(shape, board, mode)[1])
         got = greedy_upper_bound(shape, board, mode, seed=arrangement.placements)
-        assert got.placements == reference_greedy(arrangement)
+        sweep = reference_greedy(arrangement)
+        if arrangement.placements:
+            assert got.placements == sweep
+        else:
+            # With no seed the bound is the smaller of the sweep and the
+            # construction, and the sweep on a tie.
+            assert is_valid(got) and is_maximal(got)
+            assert got.size <= len(sweep)
+            if got.size == len(sweep):
+                assert got.placements == sweep
     else:
         with pytest.raises(ValueError, match=re.escape(f"arrangement is invalid: {reason}")):
             is_maximal(arrangement)
@@ -451,6 +460,43 @@ def test_budget_at_the_node_count(instance):
         err = info.value
         assert err.nodes == nodes
         assert err.lower <= want.clumsy_number <= err.upper
+
+
+@settings(SETTINGS, max_examples=150)
+@given(wider_instances(), st.data())
+def test_budget_stop_upper_is_greedy_bound(instance, data):
+    # What the benchmark's frontier gate checks: a stop's upper end is the
+    # size of greedy_upper_bound's arrangement, which is valid and maximal,
+    # and the bracket holds the full solve's cp.
+    want = clumsy_number(*instance)
+    assume(want.nodes_explored)
+    budget = data.draw(st.integers(0, want.nodes_explored - 1))
+    with pytest.raises(BudgetExceededError) as info:
+        clumsy_number(*instance, node_budget=budget)
+    err = info.value
+    arr = greedy_upper_bound(*instance)
+    assert err.upper == arr.size
+    assert is_valid(arr) and is_maximal(arr)
+    assert err.lower <= want.clumsy_number <= err.upper
+
+
+@settings(SETTINGS, max_examples=150)
+@given(polyominoes(5), st.integers(1, 7), st.sampled_from(("fixed", "free")))
+def test_construction_is_independent_and_dominating(shape, n, mode):
+    # On the reference graph in placement order, and on the graph the
+    # search builds (numbered from the end), the construction's picks are
+    # pairwise disjoint and block every placement: a maximal arrangement.
+    board = Board(n)
+    nbr = reference_graph(shape, board, mode)[0]
+    top = len(nbr) - 1
+    search_nbr = _conflict_graph(_tables(shape, board, mode)[2][::-1])[0]
+    for picks in (solver._construction(nbr),
+                  [top - i for i in solver._construction(search_nbr)]):
+        dom = 0
+        for i in picks:
+            assert not dom >> i & 1
+            dom |= nbr[i]
+        assert dom == (1 << len(nbr)) - 1
 
 
 def brute_complete(nbr, undom, allowed, need):

@@ -5,9 +5,9 @@ import pytest
 
 from clumsypack.geometry import Cell, ell, plus, rect, straight_h, straight_v, tee
 from clumsypack.packing import (Arrangement, Board, Placement, _placements_at, _tables,
-                                default_board, is_maximal, is_valid)
+                                default_board, is_maximal, is_valid, placement_masks)
 from clumsypack.solver import (BudgetExceededError, OracleGuardError, _complete,
-                               _lex_first, _orbits, _Search, _symmetry_group,
+                               _lex_first, _orbits, _Search, _sweep, _symmetry_group,
                                clumsy_number, greedy_upper_bound, oracle_clumsy_number)
 
 
@@ -149,16 +149,18 @@ NODE_COUNTS = [
 
 # (shape, board, mode, node budget, lower, upper, nodes) of budget stops in
 # the refuter (the first two and the last) and in the witness phase (the
-# third).  straight(3) free on 9 counts 4 nodes and then rejects 9
-# candidates of one narrowed node at once; a budget of 8 falls inside that
-# batch, and the stop still reports one node past the budget.
+# third, whose bracket has closed).  The upper ends are the construction's:
+# the sweep in placement order gives 27, 8 and 9.  straight(3) free on 9
+# counts 4 nodes and then rejects 9 candidates of one narrowed node at once;
+# a budget of 8 falls inside that batch, and the stop still reports one node
+# past the budget.
 BUDGET_STOPS = [
-    (straight_v(3), 9, "free", 1_000, 11, 27, 1_001),
-    (ell(1, 3), 8, "free", 10_000, 5, 8, 10_001),
-    (tee(1, 1), 7, "free", 5_000, 6, 9, 5_001),
-    (straight_v(3), 9, "free", 8, 9, 27, 9),
+    (straight_v(3), 9, "free", 1_000, 11, 18, 1_001),
+    (ell(1, 3), 8, "free", 10_000, 5, 7, 10_001),
+    (tee(1, 1), 7, "free", 5_000, 6, 6, 5_001),
+    (straight_v(3), 9, "free", 8, 9, 18, 9),
     # Deep refuter calls, as in the benchmark's 1M-node pass on this instance.
-    (straight_v(3), 9, "free", 300_000, 14, 27, 300_001),
+    (straight_v(3), 9, "free", 300_000, 14, 18, 300_001),
 ]
 
 
@@ -176,6 +178,16 @@ class TestNodeCounts:
         assert (err.lower, err.upper, err.nodes) == (lower, upper, nodes)
         # Raised where the budget runs out, with no internal error behind it.
         assert err.__context__ is None
+        # The upper end is realised by greedy_upper_bound's arrangement.
+        arr = greedy_upper_bound(shape, Board(n), mode)
+        assert arr.size == upper and is_valid(arr) and is_maximal(arr)
+        # The message, and a pickled copy, show the tightened bracket.
+        back = pickle.loads(pickle.dumps(err))
+        assert (back.lower, back.upper, str(back)) == (lower, upper, str(err))
+        assert repr(err) == f"BudgetExceededError({lower}, {upper}, {nodes})"
+        assert str(err).endswith(
+            f"is {lower}, proven; the lex-first witness is unfinished" if lower == upper
+            else f"is in [{lower}, {upper}]")
 
 
 class TestGreedy:
@@ -192,6 +204,20 @@ class TestGreedy:
         arr = greedy_upper_bound(ell(3, 6), Board(10), "free", seed=seed)
         assert arr.placements[:3] == seed
         assert arr.size == 3  # the seed is already maximal
+
+    def test_construction_when_smaller_and_sweep_after_a_seed(self):
+        # straight(3) free on 9: the sweep lays 27 bars and the
+        # most-constrained-first construction 18, returned in placement
+        # order.  A seed is extended by the sweep alone, so seeding the
+        # sweep's first bar gives the sweep back.
+        shape, board = straight_v(3), Board(9)
+        arr = greedy_upper_bound(shape, board, "free")
+        assert arr.size == 18 and is_valid(arr) and is_maximal(arr)
+        placements = placement_masks(shape, board, "free")[0]
+        order = [placements.index(p) for p in arr.placements]
+        assert order == sorted(order)
+        seeded = greedy_upper_bound(shape, board, "free", seed=placements[:1])
+        assert seeded.size == 27 and seeded == _sweep(shape, board, "free")
 
     def test_invalid_seed_rejected(self):
         seed = (Placement(0, Cell(1, 1)), Placement(0, Cell(1, 1)))
@@ -211,7 +237,7 @@ class TestBudget:
 
     def test_error_survives_pickle_and_copy(self):
         # Callers that pickle or copy a budget stop get the same bracket.
-        for upper in (6, None):
+        for upper in (6, 4, None):
             err = BudgetExceededError(4, upper, 1001)
             for back in (pickle.loads(pickle.dumps(err)), copy.copy(err)):
                 assert type(back) is BudgetExceededError
@@ -227,8 +253,8 @@ class TestBudget:
     def test_bracket_closes_once_witness_size_is_found(self):
         # The witness phase spends the last nodes: a budget of exactly the
         # full solve's nodes suffices, and one node less stops the witness
-        # phase, which reports the proven size 4 with greedy's 6 as the
-        # upper end.
+        # phase, which reports the proven size 4 with the construction's 5
+        # (the sweep has 6) as the upper end.
         full = clumsy_number(ell(1, 2), Board(6), "free")
         assert full.clumsy_number == 4
         again = clumsy_number(ell(1, 2), Board(6), "free",
@@ -239,7 +265,7 @@ class TestBudget:
             clumsy_number(ell(1, 2), Board(6), "free",
                           node_budget=full.nodes_explored - 1)
         err = ei.value
-        assert (err.lower, err.upper) == (4, 6)
+        assert (err.lower, err.upper) == (4, 5)
         assert err.nodes == full.nodes_explored
 
     def test_clock_read_when_a_batch_steps_over_a_check(self):
@@ -303,7 +329,9 @@ class TestBudget:
         with pytest.raises(BudgetExceededError) as ei:
             clumsy_number(plus(1), Board(5), "free", time_budget=0.0)
         err = ei.value
-        assert (err.lower, err.upper, err.nodes) == (1, 2, 1)
+        # The construction's one plus closes the bracket the sweep left at
+        # [1, 2].
+        assert (err.lower, err.upper, err.nodes) == (1, 1, 1)
 
 
 def test_depth_beyond_the_recursion_limit():
