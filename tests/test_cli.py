@@ -314,18 +314,18 @@ class TestScan:
         assert out.splitlines()[-1].endswith("inconclusive: 4")
 
     def test_budget_rows_judged_by_their_bracket(self, run_cli, monkeypatch):
-        # straight(3) free on 9 stops at [11, 18] after 1,000 nodes: inside
+        # straight(3) free on 9 stops at [11, 17] after 1,000 nodes: inside
         # 10..20 it supports, apart from 9 it refutes, and around 16 it
         # cannot tell.
         rows = [(straight_v(3), Board(9), "free", "straight-v(3) free", claim)
                 for claim in ((10, 20), 16, 9)]
         monkeypatch.setattr(cli, "_scan_rows", lambda scan_id, limit: iter(rows))
         assert run_cli(["scan", "L-free-exact", "--node-budget", "1000"]) == (
-            1, "straight-v(3) free: budget exhausted (cp in [11, 18]), "
+            1, "straight-v(3) free: budget exhausted (cp in [11, 17]), "
                "claim = 10..20 -> supports\n"
-               "straight-v(3) free: budget exhausted (cp in [11, 18]), "
+               "straight-v(3) free: budget exhausted (cp in [11, 17]), "
                "claim = 16 -> inconclusive\n"
-               "straight-v(3) free: budget exhausted (cp in [11, 18]), "
+               "straight-v(3) free: budget exhausted (cp in [11, 17]), "
                "claim = 9 -> refutes\n"
                "supports: 1, refutes: 1, inconclusive: 1\n", "")
 

@@ -499,6 +499,33 @@ def test_construction_is_independent_and_dominating(shape, n, mode):
         assert dom == (1 << len(nbr)) - 1
 
 
+@settings(SETTINGS, max_examples=150)
+@given(polyominoes(), st.integers(1, 9), st.sampled_from(("fixed", "free")), st.data())
+def test_repair_is_independent_dominating_and_no_larger(shape, n, mode, data):
+    # On the reference graph, exact repair of a maximal arrangement (the
+    # construction's, or the one an order of the placements gives) returns
+    # a maximal arrangement no larger than its start, and the same one on
+    # a second call.
+    s = _Search((), None, 0)
+    s.nbr, s.notnbr, s.notfar, s.bit = reference_graph(shape, Board(n), mode)
+    nbr = s.nbr
+    order = data.draw(st.permutations(range(len(nbr))))
+    dom, greedy = 0, []
+    for i in order:
+        if not dom >> i & 1:
+            greedy.append(i)
+            dom |= nbr[i]
+    for start in (solver._construction(nbr), greedy):
+        picks = solver._improve(s, start)
+        assert len(picks) <= len(start)
+        assert solver._improve(s, start) == picks
+        dom = 0
+        for i in picks:
+            assert not dom >> i & 1
+            dom |= nbr[i]
+        assert dom == (1 << len(nbr)) - 1
+
+
 def brute_complete(nbr, undom, allowed, need):
     """Some independent set from ``allowed`` of at most ``need`` placements
     that dominates ``undom``, found by trying every subset; None when there

@@ -3,10 +3,12 @@ import pickle
 
 import pytest
 
+from clumsypack import solver
 from clumsypack.geometry import Cell, ell, plus, rect, straight_h, straight_v, tee
 from clumsypack.packing import (Arrangement, Board, Placement, _placements_at, _tables,
                                 default_board, is_maximal, is_valid, placement_masks)
-from clumsypack.solver import (BudgetExceededError, OracleGuardError, _complete,
+from clumsypack.solver import (REPAIR_CALL_NODES, REPAIR_NODES, BudgetExceededError,
+                               OracleGuardError, _complete, _construction, _improve,
                                _lex_first, _orbits, _Search, _sweep, _symmetry_group,
                                clumsy_number, greedy_upper_bound, oracle_clumsy_number)
 
@@ -149,18 +151,19 @@ NODE_COUNTS = [
 
 # (shape, board, mode, node budget, lower, upper, nodes) of budget stops in
 # the refuter (the first two and the last) and in the witness phase (the
-# third, whose bracket has closed).  The upper ends are the construction's:
-# the sweep in placement order gives 27, 8 and 9.  straight(3) free on 9
+# third, whose bracket has closed).  The upper ends are the repaired
+# construction's: the sweep in placement order gives 27, 8 and 9, and the
+# construction before its repair 18, 7 and 6.  straight(3) free on 9
 # counts 4 nodes and then rejects 9 candidates of one narrowed node at once;
 # a budget of 8 falls inside that batch, and the stop still reports one node
 # past the budget.
 BUDGET_STOPS = [
-    (straight_v(3), 9, "free", 1_000, 11, 18, 1_001),
-    (ell(1, 3), 8, "free", 10_000, 5, 7, 10_001),
+    (straight_v(3), 9, "free", 1_000, 11, 17, 1_001),
+    (ell(1, 3), 8, "free", 10_000, 5, 6, 10_001),
     (tee(1, 1), 7, "free", 5_000, 6, 6, 5_001),
-    (straight_v(3), 9, "free", 8, 9, 18, 9),
+    (straight_v(3), 9, "free", 8, 9, 17, 9),
     # Deep refuter calls, as in the benchmark's 1M-node pass on this instance.
-    (straight_v(3), 9, "free", 300_000, 14, 18, 300_001),
+    (straight_v(3), 9, "free", 300_000, 14, 17, 300_001),
 ]
 
 
@@ -206,18 +209,52 @@ class TestGreedy:
         assert arr.size == 3  # the seed is already maximal
 
     def test_construction_when_smaller_and_sweep_after_a_seed(self):
-        # straight(3) free on 9: the sweep lays 27 bars and the
-        # most-constrained-first construction 18, returned in placement
+        # straight(3) free on 9: the sweep lays 27 bars and the repaired
+        # most-constrained-first construction 17, returned in placement
         # order.  A seed is extended by the sweep alone, so seeding the
         # sweep's first bar gives the sweep back.
         shape, board = straight_v(3), Board(9)
         arr = greedy_upper_bound(shape, board, "free")
-        assert arr.size == 18 and is_valid(arr) and is_maximal(arr)
+        assert arr.size == 17 and is_valid(arr) and is_maximal(arr)
         placements = placement_masks(shape, board, "free")[0]
         order = [placements.index(p) for p in arr.placements]
         assert order == sorted(order)
         seeded = greedy_upper_bound(shape, board, "free", seed=placements[:1])
         assert seeded.size == 27 and seeded == _sweep(shape, board, "free")
+
+    def test_repair_shrinks_the_construction(self):
+        # straight(3) free on 9: exact repair takes the construction's 18
+        # bars to 17, and the result is an independent dominating set.
+        shape, board = straight_v(3), Board(9)
+        s = _Search(_tables(shape, board, "free")[2], None, 0)
+        start = _construction(s.nbr)
+        picks = _improve(s, start)
+        assert (len(start), len(picks)) == (18, 17)
+        dom = 0
+        for i in picks:
+            assert not dom & s.bit[i]
+            dom |= s.nbr[i]
+        assert dom == (1 << len(s.bit)) - 1
+
+    def test_repair_keeps_to_its_node_caps(self, monkeypatch):
+        # straight(4) free on 10 runs out of repair nodes before a pass
+        # ends: each call gets at most REPAIR_CALL_NODES and spends at most
+        # one node past its cap, and together the calls spend REPAIR_NODES
+        # and the one node past the last call's cap.
+        calls = []
+        complete = solver._complete
+
+        def counted(s, *args):
+            budget = s.node_budget
+            try:
+                return complete(s, *args)
+            finally:
+                calls.append((budget, s.nodes))
+
+        monkeypatch.setattr(solver, "_complete", counted)
+        assert greedy_upper_bound(straight_v(4), Board(10), "free").size == 12
+        assert all(0 < b <= REPAIR_CALL_NODES and n <= b + 1 for b, n in calls)
+        assert sum(n for _, n in calls) == REPAIR_NODES + 1
 
     def test_invalid_seed_rejected(self):
         seed = (Placement(0, Cell(1, 1)), Placement(0, Cell(1, 1)))
@@ -253,8 +290,9 @@ class TestBudget:
     def test_bracket_closes_once_witness_size_is_found(self):
         # The witness phase spends the last nodes: a budget of exactly the
         # full solve's nodes suffices, and one node less stops the witness
-        # phase, which reports the proven size 4 with the construction's 5
-        # (the sweep has 6) as the upper end.
+        # phase, which reports the proven size 4 with the repaired
+        # construction's 4 (the sweep has 6, the construction 5) as the
+        # upper end.
         full = clumsy_number(ell(1, 2), Board(6), "free")
         assert full.clumsy_number == 4
         again = clumsy_number(ell(1, 2), Board(6), "free",
@@ -265,7 +303,7 @@ class TestBudget:
             clumsy_number(ell(1, 2), Board(6), "free",
                           node_budget=full.nodes_explored - 1)
         err = ei.value
-        assert (err.lower, err.upper) == (4, 5)
+        assert (err.lower, err.upper) == (4, 4)
         assert err.nodes == full.nodes_explored
 
     def test_clock_read_when_a_batch_steps_over_a_check(self):
