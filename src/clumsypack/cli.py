@@ -152,6 +152,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bracket_found(exc: BudgetExceededError) -> str:
+    """What a budget stop proved, as ``solve`` and ``scan`` print it."""
+    if exc.lower == exc.upper:
+        return f"cp = {exc.lower} proven, lex-first witness unfinished"
+    return f"cp in [{exc.lower}, {exc.upper}]"
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     shape = _shape_from_args(args)
     board = _board_from_args(args, shape)
@@ -160,11 +167,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                node_budget=args.node_budget,
                                time_budget=args.time_budget)
     except BudgetExceededError as exc:
-        if exc.lower == exc.upper:
-            found = f"cp = {exc.lower} proven, lex-first witness unfinished"
-        else:
-            found = f"cp in [{exc.lower}, {exc.upper}]"
-        print(f"budget exhausted after {exc.nodes} nodes: {found}")
+        print(f"budget exhausted after {exc.nodes} nodes: {_bracket_found(exc)}")
         return EXIT_BUDGET
     print(f"cp = {result.clumsy_number}")
     print(f"nodes = {result.nodes_explored}")
@@ -299,7 +302,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                                    time_budget=args.time_budget)
         except BudgetExceededError as exc:
             lower, upper = exc.lower, exc.upper
-            found = f"budget exhausted (cp in [{lower}, {upper}])"
+            found = f"budget exhausted ({_bracket_found(exc)})"
         else:
             lower = upper = result.clumsy_number
             found = f"cp = {lower}"

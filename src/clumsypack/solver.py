@@ -63,14 +63,17 @@ phases.
 
 A budget stop reports the bracket proven so far.  Its lower end is the
 refuter's k, and its upper end the size of ``greedy_upper_bound``'s
-arrangement, which realises it: the smaller of the sweep in placement
-order and a most-constrained-first construction (``_construction``) that
-exact repair has shrunk (``_improve``).  The repair drops the picks near
-one pick and asks the search's own question: can fewer picks dominate
-what only they dominated?  Its calls count nodes of their own, under a
-fixed cap, so a stop's bracket does not depend on how the budget ran out.
-Only a stop builds and repairs the construction, so a solve that closes
-never pays for either.
+arrangement, which realises it: the smallest of the sweep in placement
+order and two most-constrained-first constructions (``_construction``),
+each shrunk by exact repair (``_improve``).  The two starts differ only in
+how a tie on the fewest undominated dominators is broken: by the lowest
+placement, or by the fewest neighbours in the whole graph (``_incumbent``).
+The repair drops the picks near one pick and asks the search's own
+question: can fewer picks dominate what only they dominated?  Its calls
+count nodes of their own, under fixed caps that each start gets afresh, so
+a stop's bracket does not depend on how the budget ran out.  Only a stop
+builds and repairs the constructions, so a solve that closes never pays
+for either.
 
 A second, deliberately naive oracle recomputes small instances straight from
 the definition so the two routes can be compared in tests.
@@ -540,32 +543,48 @@ def _orbits(group: list[list[int]]) -> list[int]:
     return orbit
 
 
-def _construction(nbr: list[int]) -> list[int]:
+def _construction(nbr: list[int], by_degree: bool = False) -> list[int]:
     """A maximal arrangement built most-constrained first, as indices of
     the conflict graph ``nbr`` (the search's numbering in ``_Search``).
 
     Until nothing is undominated, it takes the undominated placement with
     the fewest undominated dominators, scanned lowest first and stopping at
     the first with one, and picks its undominated dominator that dominates
-    the most undominated placements, lowest first on ties.  Every pick is
-    undominated, so the picks are independent and, once nothing is
-    undominated, dominating: a maximal arrangement.
+    the most undominated placements, lowest first on ties.  With
+    ``by_degree``, a tie on that count goes first to the placement with
+    the fewest neighbours in the whole graph.  Every pick is undominated,
+    so the picks are independent and, once nothing is undominated,
+    dominating: a maximal arrangement.
     """
     undom = (1 << len(nbr)) - 1
+    # A tie on the count goes to the lower rank, and on both to the first.
+    rank = [m.bit_count() for m in nbr] if by_degree else [0] * len(nbr)
     picks = []
     while undom:
         fewest = len(nbr) + 1
         for u in _indices(undom):
             b = nbr[u] & undom
             count = b.bit_count()
-            if count < fewest:
-                best, fewest = b, count
+            if count <= fewest:
                 if count == 1:
+                    best = b
                     break
+                if count < fewest or rank[u] < least:
+                    best, fewest, least = b, count, rank[u]
         pick = max(_indices(best), key=lambda v: (nbr[v] & undom).bit_count())
         picks.append(pick)
         undom &= ~nbr[pick]
     return picks
+
+
+def _incumbent(s: _Search) -> list[int]:
+    """The smaller of two repaired constructions, as indices of the conflict
+    graph of ``s``: ``_construction`` with ties to the lowest placement,
+    then with ties to the fewest neighbours, each after ``_improve`` under
+    its own node caps.  A tie keeps the first.
+    """
+    return min((_improve(s, _construction(s.nbr, by_degree))
+                for by_degree in (False, True)), key=len)
 
 
 def _improve(s: _Search, picks: list[int]) -> list[int]:
@@ -659,8 +678,8 @@ def greedy_upper_bound(shape: Shape, board: Board | None = None,
     that a budget stop of ``clumsy_number`` reports is its size.
 
     With no seed, the smaller of two: one sweep in placement order, which
-    adds every placement that still fits, and the most-constrained-first
-    construction (``_construction``) after exact repair (``_improve``), its
+    adds every placement that still fits, and the smaller of the two
+    repaired most-constrained-first constructions (``_incumbent``), its
     placements in placement order.  A tie keeps the sweep.  Seed placements
     (which must form a valid partial arrangement) are laid down first, and
     the sweep alone extends them.  Either way the result cannot be
@@ -672,7 +691,7 @@ def greedy_upper_bound(shape: Shape, board: Board | None = None,
     if seed:
         return sweep
     s = _Search(_tables(shape, board, mode)[2], None, 0)
-    picks = _improve(s, _construction(s.nbr))
+    picks = _incumbent(s)
     if len(picks) >= sweep.size:
         return sweep
     top = len(s.bit) - 1
@@ -687,10 +706,12 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
 
     Raises BudgetExceededError carrying the proved bracket when the node or
     time budget runs out first.  Its upper end comes from work done after
-    the stop, which no budget bounds: the construction, which grows with
-    the instance (about 55-70 ms on 1,740-5,032 placements on a 2-vCPU
-    VM), and its repair, capped at REPAIR_NODES nodes (2-13 ms there).  A
-    deadline stop overshoots its time budget by that much.
+    the stop, which no budget bounds: two constructions, each of which
+    grows with the instance (about 60-140 ms each on 1,740-5,032
+    placements on a 2-vCPU VM), and their repairs, each capped at
+    REPAIR_NODES nodes (3-25 ms each there).  A deadline stop overshoots
+    its time budget by that much: a budget of 0 takes about 0.18-0.34 s
+    on those boards, and 12 ms on straight(3) free on 9.
     """
     _check_budget(node_budget, time_budget)
     if board is None:
@@ -724,11 +745,11 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
         found, allowed = hit
         got = _lex_first(s, allowed, found)
     except BudgetExceededError as exc:
-        # Only a stop pays for the construction and its repair; the upper
-        # end is then the size of greedy_upper_bound's arrangement.  The
-        # repair's nodes are its own, not the stop's.  Re-raised as it is,
-        # so no other exception becomes its context.
-        exc.upper = min(exc.upper, len(_improve(s, _construction(s.nbr))))
+        # Only a stop pays for the constructions and their repairs; the
+        # upper end is then the size of greedy_upper_bound's arrangement.
+        # The repairs' nodes are their own, not the stop's.  Re-raised as it
+        # is, so no other exception becomes its context.
+        exc.upper = min(exc.upper, len(_incumbent(s)))
         raise
     witness = Arrangement(board, shape, mode, _placements_at(shape, board, mode, got))
     return SolveResult(k, witness, s.nodes, time.monotonic() - start)

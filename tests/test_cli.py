@@ -314,20 +314,32 @@ class TestScan:
         assert out.splitlines()[-1].endswith("inconclusive: 4")
 
     def test_budget_rows_judged_by_their_bracket(self, run_cli, monkeypatch):
-        # straight(3) free on 9 stops at [11, 17] after 1,000 nodes: inside
-        # 10..20 it supports, apart from 9 it refutes, and around 16 it
-        # cannot tell.
+        # straight(3) free on 9 stops at [11, 16] after 1,000 nodes: inside
+        # 10..20 it supports, apart from 9 it refutes, and at 16 it cannot
+        # tell.
         rows = [(straight_v(3), Board(9), "free", "straight-v(3) free", claim)
                 for claim in ((10, 20), 16, 9)]
         monkeypatch.setattr(cli, "_scan_rows", lambda scan_id, limit: iter(rows))
         assert run_cli(["scan", "L-free-exact", "--node-budget", "1000"]) == (
-            1, "straight-v(3) free: budget exhausted (cp in [11, 17]), "
+            1, "straight-v(3) free: budget exhausted (cp in [11, 16]), "
                "claim = 10..20 -> supports\n"
-               "straight-v(3) free: budget exhausted (cp in [11, 17]), "
+               "straight-v(3) free: budget exhausted (cp in [11, 16]), "
                "claim = 16 -> inconclusive\n"
-               "straight-v(3) free: budget exhausted (cp in [11, 17]), "
+               "straight-v(3) free: budget exhausted (cp in [11, 16]), "
                "claim = 9 -> refutes\n"
                "supports: 1, refutes: 1, inconclusive: 1\n", "")
+
+    def test_closed_budget_row_worded_as_solve_words_it(self, run_cli):
+        # L(2,3) free stops after 50 nodes in its witness phase, with cp
+        # proven; scan words that bracket as solve does.
+        code, out, _ = run_cli(["scan", "L-free-exact", "--node-budget", "50"])
+        assert code == 0
+        assert ("L(2,3) free: budget exhausted (cp = 2 proven, lex-first witness "
+                "unfinished), claim = 2..5 -> supports") in out.splitlines()
+        assert run_cli(["solve", "--family", "L", "--params", "2,3",
+                        "--node-budget", "50"])[:2] == (
+            3, "budget exhausted after 51 nodes: cp = 2 proven, "
+               "lex-first witness unfinished\n")
 
     def test_row_without_a_claim_is_inconclusive(self, run_cli):
         assert run_cli(["scan", "T-gen", "--limit", "4"]) == (

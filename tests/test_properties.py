@@ -484,14 +484,16 @@ def test_budget_stop_upper_is_greedy_bound(instance, data):
 @given(polyominoes(5), st.integers(1, 7), st.sampled_from(("fixed", "free")))
 def test_construction_is_independent_and_dominating(shape, n, mode):
     # On the reference graph in placement order, and on the graph the
-    # search builds (numbered from the end), the construction's picks are
+    # search builds (numbered from the end), the construction's picks, with
+    # ties to the lowest placement or to the fewest neighbours, are
     # pairwise disjoint and block every placement: a maximal arrangement.
     board = Board(n)
     nbr = reference_graph(shape, board, mode)[0]
     top = len(nbr) - 1
     search_nbr = _conflict_graph(_tables(shape, board, mode)[2][::-1])[0]
     for picks in (solver._construction(nbr),
-                  [top - i for i in solver._construction(search_nbr)]):
+                  [top - i for i in solver._construction(search_nbr)],
+                  [top - i for i in solver._construction(search_nbr, True)]):
         dom = 0
         for i in picks:
             assert not dom >> i & 1
@@ -524,6 +526,20 @@ def test_repair_is_independent_dominating_and_no_larger(shape, n, mode, data):
             assert not dom >> i & 1
             dom |= nbr[i]
         assert dom == (1 << len(nbr)) - 1
+
+
+@settings(SETTINGS, max_examples=150)
+@given(polyominoes(), st.integers(1, 9), st.sampled_from(("fixed", "free")))
+def test_greedy_bound_is_no_larger_than_any_start(shape, n, mode):
+    # Unseeded greedy_upper_bound keeps the smallest of the sweep and the
+    # two repaired constructions, so a stop's upper end is never larger
+    # than what any one of them gives.
+    board = Board(n)
+    s = _Search(_tables(shape, board, mode)[2], None, 0)
+    sizes = [solver._sweep(shape, board, mode).size]
+    sizes += [len(solver._improve(s, solver._construction(s.nbr, by_degree)))
+              for by_degree in (False, True)]
+    assert greedy_upper_bound(shape, board, mode).size == min(sizes)
 
 
 def brute_complete(nbr, undom, allowed, need):

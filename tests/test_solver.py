@@ -151,19 +151,21 @@ NODE_COUNTS = [
 
 # (shape, board, mode, node budget, lower, upper, nodes) of budget stops in
 # the refuter (the first two and the last) and in the witness phase (the
-# third, whose bracket has closed).  The upper ends are the repaired
-# construction's: the sweep in placement order gives 27, 8 and 9, and the
-# construction before its repair 18, 7 and 6.  straight(3) free on 9
-# counts 4 nodes and then rejects 9 candidates of one narrowed node at once;
-# a budget of 8 falls inside that batch, and the stop still reports one node
-# past the budget.
+# third, whose bracket has closed).  The upper ends are the smaller
+# repaired construction's: the sweep in placement order gives 27, 8 and 9.
+# The construction with ties to the lowest placement gives 18, 7 and 6
+# before its repair and 17, 6 and 6 after; with ties to the fewest
+# neighbours, 17, 7 and 6 before and 16, 6 and 6 after.  straight(3) free
+# on 9 counts 4 nodes and then rejects 9 candidates of one narrowed node at
+# once; a budget of 8 falls inside that batch, and the stop still reports
+# one node past the budget.
 BUDGET_STOPS = [
-    (straight_v(3), 9, "free", 1_000, 11, 17, 1_001),
+    (straight_v(3), 9, "free", 1_000, 11, 16, 1_001),
     (ell(1, 3), 8, "free", 10_000, 5, 6, 10_001),
     (tee(1, 1), 7, "free", 5_000, 6, 6, 5_001),
-    (straight_v(3), 9, "free", 8, 9, 17, 9),
+    (straight_v(3), 9, "free", 8, 9, 16, 9),
     # Deep refuter calls, as in the benchmark's 1M-node pass on this instance.
-    (straight_v(3), 9, "free", 300_000, 14, 17, 300_001),
+    (straight_v(3), 9, "free", 300_000, 14, 16, 300_001),
 ]
 
 
@@ -209,13 +211,13 @@ class TestGreedy:
         assert arr.size == 3  # the seed is already maximal
 
     def test_construction_when_smaller_and_sweep_after_a_seed(self):
-        # straight(3) free on 9: the sweep lays 27 bars and the repaired
-        # most-constrained-first construction 17, returned in placement
-        # order.  A seed is extended by the sweep alone, so seeding the
-        # sweep's first bar gives the sweep back.
+        # straight(3) free on 9: the sweep lays 27 bars and the smaller
+        # repaired most-constrained-first construction 16, returned in
+        # placement order.  A seed is extended by the sweep alone, so
+        # seeding the sweep's first bar gives the sweep back.
         shape, board = straight_v(3), Board(9)
         arr = greedy_upper_bound(shape, board, "free")
-        assert arr.size == 17 and is_valid(arr) and is_maximal(arr)
+        assert arr.size == 16 and is_valid(arr) and is_maximal(arr)
         placements = placement_masks(shape, board, "free")[0]
         order = [placements.index(p) for p in arr.placements]
         assert order == sorted(order)
@@ -224,37 +226,56 @@ class TestGreedy:
 
     def test_repair_shrinks_the_construction(self):
         # straight(3) free on 9: exact repair takes the construction's 18
-        # bars to 17, and the result is an independent dominating set.
+        # bars to 17, and the one with ties to the fewest neighbours from 17
+        # to 16; each result is an independent dominating set.
         shape, board = straight_v(3), Board(9)
         s = _Search(_tables(shape, board, "free")[2], None, 0)
-        start = _construction(s.nbr)
-        picks = _improve(s, start)
-        assert (len(start), len(picks)) == (18, 17)
-        dom = 0
-        for i in picks:
-            assert not dom & s.bit[i]
-            dom |= s.nbr[i]
-        assert dom == (1 << len(s.bit)) - 1
+        for by_degree, sizes in ((False, (18, 17)), (True, (17, 16))):
+            start = _construction(s.nbr, by_degree)
+            picks = _improve(s, start)
+            assert (len(start), len(picks)) == sizes
+            dom = 0
+            for i in picks:
+                assert not dom & s.bit[i]
+                dom |= s.nbr[i]
+            assert dom == (1 << len(s.bit)) - 1
+
+    @pytest.mark.parametrize("shape,n,size", [
+        (ell(1, 1), 9, 15), (straight_v(3), 10, 20), (straight_v(4), 12, 20)])
+    def test_second_start_when_smaller(self, shape, n, size):
+        # Here the construction with ties to the fewest neighbours, after
+        # repair, is smaller than the one with ties to the lowest placement
+        # (16, 21 and 23), and greedy_upper_bound returns it.
+        arr = greedy_upper_bound(shape, Board(n), "free")
+        assert arr.size == size and is_valid(arr) and is_maximal(arr)
 
     def test_repair_keeps_to_its_node_caps(self, monkeypatch):
-        # straight(4) free on 10 runs out of repair nodes before a pass
-        # ends: each call gets at most REPAIR_CALL_NODES and spends at most
-        # one node past its cap, and together the calls spend REPAIR_NODES
-        # and the one node past the last call's cap.
-        calls = []
-        complete = solver._complete
+        # straight(4) free on 10: the repair of each construction runs out
+        # of nodes before a pass ends.  Each call gets at most
+        # REPAIR_CALL_NODES and spends at most one node past its cap, and
+        # one repair's calls together spend REPAIR_NODES and the one node
+        # past the last call's cap.
+        repairs = []
+        complete, improve = solver._complete, solver._improve
 
         def counted(s, *args):
             budget = s.node_budget
             try:
                 return complete(s, *args)
             finally:
-                calls.append((budget, s.nodes))
+                repairs[-1].append((budget, s.nodes))
+
+        def repair(s, picks):
+            repairs.append([])
+            return improve(s, picks)
 
         monkeypatch.setattr(solver, "_complete", counted)
+        monkeypatch.setattr(solver, "_improve", repair)
         assert greedy_upper_bound(straight_v(4), Board(10), "free").size == 12
-        assert all(0 < b <= REPAIR_CALL_NODES and n <= b + 1 for b, n in calls)
-        assert sum(n for _, n in calls) == REPAIR_NODES + 1
+        assert len(repairs) == 2
+        for calls in repairs:
+            assert all(0 < b <= REPAIR_CALL_NODES and n <= b + 1 for b, n in calls)
+            assert sum(n for _, n in calls) == REPAIR_NODES + 1
 
     def test_invalid_seed_rejected(self):
         seed = (Placement(0, Cell(1, 1)), Placement(0, Cell(1, 1)))
