@@ -27,16 +27,24 @@ the undominated placements from the mask's binary string in C
 and the loop runs on an explicit stack, so no depth meets Python's
 recursion limit.
 
-The search numbers placements from the end: of P placements, placement i
-is bit P - 1 - i.  So the lowest placement in a mask is its highest bit,
-which ``int.bit_length`` finds without making a new int.  ``_Search``
-holds the graph and orbit masks this way, and ``_lex_first`` returns
-placement indices.  Lowest, first and above mean placement order.
+The search numbers placements border-first.  A placement's depth is that
+of its deepest cell, and a cell's depth is its distance to the nearest
+edge of the board.  The placements are sorted by depth, ties by placement
+index, and the first gets the highest bit, which ``int.bit_length`` finds
+without making a new int.  So the packing walk and the branch scan meet
+the placements near the border, which meet the fewest others, first.
+``_Search`` holds the graph and orbit masks in this numbering, with
+``perm`` and ``pos`` to map it to placement indices and back
+(``_orbits``).  In the loop, lowest, first and above mean search order.
+Neither a refutation nor the existence of a completion depends on the
+numbering, so neither does cp; the witness, defined by placement index,
+is built in placement order.
 
 The refuter calls the loop on the whole graph for k = start, start + 1,
 ...  One call at k refutes every size up to k, so the first k that succeeds
-is the clumsy number cp.  The start is the packing bound of the whole
-graph.  When the bound meets the size of the sweep's arrangement (every
+is the clumsy number cp.  The start is the larger of two packing bounds
+of the whole graph: the walk in search order, and the walk in placement
+order.  When the bound meets the size of the sweep's arrangement (every
 placement that still fits, in placement order), that arrangement is the
 answer and no node is searched; when every size below the sweep's is
 refuted, the sweep's arrangement is the witness (see ``clumsy_number``).
@@ -48,11 +56,11 @@ step.
 The witness phase runs at cp only.  It builds the lexicographically first
 witness (by placement index) one position at a time, within the allowed
 mask of the refuter's root as it stood when the call at cp succeeded.  Each
-position keeps the lowest allowed candidate above the last pick that the
-loop can complete with at most the picks still needed, all above it
-(``_lex_first``).  At cp a completion with fewer picks would make a
-maximal arrangement smaller than cp, so every completion has exactly the
-picks still needed.
+position keeps the lowest allowed candidate, in placement order, above the
+last pick that the loop can complete with at most the picks still needed,
+all above it (``_lex_first``).  At cp a completion with fewer picks would
+make a maximal arrangement smaller than cp, so every completion has exactly
+the picks still needed.
 
 A node is one candidate tested, in either phase, plus, at each narrowed
 node, the candidates its private placements reject: the branch member's, or
@@ -65,15 +73,17 @@ A budget stop reports the bracket proven so far.  Its lower end is the
 refuter's k, and its upper end the size of ``greedy_upper_bound``'s
 arrangement, which realises it: the smallest of the sweep in placement
 order and two most-constrained-first constructions (``_construction``),
-each shrunk by exact repair (``_improve``).  The two starts differ only in
+each shrunk by exact repair (``_improve``).  These run on a ``_Search`` of
+their own, numbered in placement order from the end, so that the upper
+end does not depend on the search's order.  The two starts differ only in
 how a tie on the fewest undominated dominators is broken: by the lowest
 placement, or by the fewest neighbours in the whole graph (``_incumbent``).
 The repair drops the picks near one pick and asks the search's own
 question: can fewer picks dominate what only they dominated?  Its calls
 count nodes of their own, under fixed caps that each start gets afresh, so
 a stop's bracket does not depend on how the budget ran out.  Only a stop
-builds and repairs the constructions, so a solve that closes never pays
-for either.
+builds that graph and the constructions and repairs them, so a solve that
+closes never pays for any of it.
 
 A second, deliberately naive oracle recomputes small instances straight from
 the definition so the two routes can be compared in tests.
@@ -81,10 +91,11 @@ the definition so the two routes can be compared in tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .geometry import Cell, Shape, _Record, rotate
 from .packing import (Arrangement, Board, Placement, _check_mode, _occupancy,
@@ -156,24 +167,34 @@ class SolveResult(_Record):
 class _Search:
     """The state of one solve, shared by its refuter and witness phases.
 
-    ``cells`` are the placements' cell bits (``_tables(...)[2]``) and
-    ``group`` their symmetry maps (``_symmetry_group``), or None where no
-    refuter runs and so no orbit is read.  The conflict graph
-    (``_conflict_graph``) and the orbit masks (``_orbits``) number
-    placements from the end, as the module docstring says.  ``lower``
-    and ``upper`` are the bracket proved so far, which a budget stop
-    reports once ``clumsy_number`` has tightened its upper end.  The search
-    keeps its node count in a local variable and calls ``spend`` only once
-    that count reaches ``stop``, so a node costs one comparison.
+    ``cells`` are the placements' cell bits (``_tables(...)[2]``), and
+    ``order`` is the numbering and orbit masks that ``_orbits`` gives them,
+    border-first, as the module docstring says: bit j is placement perm[j],
+    and placement p is bit pos[p].  The conflict graph
+    (``_conflict_graph``) is built in that numbering.  With ``order`` None
+    no refuter runs, so no orbit is read, and the numbering is placement
+    order from the end (placement p is bit P - 1 - p), the one the
+    constructions and their repairs use.  ``lower`` and ``upper`` are the
+    bracket proved so far, which a budget stop reports once
+    ``clumsy_number`` has tightened its upper end.  The search keeps its
+    node count in a local variable and calls ``spend`` only once that count
+    reaches ``stop``, so a node costs one comparison.
     """
 
-    __slots__ = ("nbr", "notnbr", "notfar", "bit", "orbit",
+    __slots__ = ("nbr", "notnbr", "notfar", "bit", "perm", "pos", "orbit",
                  "lower", "upper", "node_budget", "deadline", "nodes", "stop")
 
-    def __init__(self, cells: tuple[tuple[int, ...], ...], group: list[list[int]] | None,
+    def __init__(self, cells: tuple[tuple[int, ...], ...],
+                 order: tuple[list[int], list[int], list[int]] | None,
                  node_budget: int, time_budget: float | None = None):
-        self.nbr, self.notnbr, self.notfar, self.bit = _conflict_graph(cells[::-1])
-        self.orbit = None if group is None else _orbits(group)
+        if order is None:
+            # The reversal is its own inverse.
+            self.perm = self.pos = range(len(cells) - 1, -1, -1)
+            self.orbit = None
+        else:
+            self.perm, self.pos, self.orbit = order
+        self.nbr, self.notnbr, self.notfar, self.bit = _conflict_graph(
+            list(map(cells.__getitem__, self.perm)))
         self.lower, self.upper = 0, None
         self.node_budget = node_budget
         # The clock starts once the graph is built.
@@ -219,8 +240,8 @@ def _conflict_graph(cells: tuple[tuple[int, ...], ...]
     ``cells`` that the search reads.
 
     ``cells[i]`` lists the cell bits of placement i (``_tables(...)[2]``,
-    which ``_Search`` hands over reversed).  bit[i] is 1 << i, read from a
-    list because a shift makes a new int.
+    which ``_Search`` hands over in its own numbering).  bit[i] is 1 << i,
+    read from a list because a shift makes a new int.
 
     nbr[i] holds the placements whose cells meet placement i; every
     placement conflicts with itself, so bit i of nbr[i] is set.  far[i] =
@@ -259,18 +280,27 @@ def _conflict_graph(cells: tuple[tuple[int, ...], ...]
     return nbr, [full ^ m for m in nbr], notfar, bit
 
 
-def _packing_bound(notfar: list[int], undom: int) -> int:
-    """Size of a greedy packing of ``undom``: highest bit first, which is
-    the lowest placement in the search's numbering, no two members sharing
-    a neighbour.
+def _packing_bound(notfar: list[int], undom: int,
+                   order: Iterable[int] | None = None) -> int:
+    """Size of a greedy packing of ``undom``, no two members sharing a
+    neighbour: highest bit first, the search's order, or with ``order`` in
+    the order it lists the bits (``_Search.pos``, for placement order).
 
     Each member needs a dominator of its own, since no one placement meets
     two of them, so dominating ``undom`` takes at least this many picks.
     """
     count = 0
-    while undom:
-        count += 1
-        undom &= notfar[undom.bit_length() - 1]
+    if order is None:
+        while undom:
+            count += 1
+            undom &= notfar[undom.bit_length() - 1]
+        return count
+    for j in order:
+        if not undom:
+            break
+        if undom >> j & 1:
+            count += 1
+            undom &= notfar[j]
     return count
 
 
@@ -299,8 +329,7 @@ def _complete(s: _Search, undom: int, allowed: int, need: int,
     asked for.  The masks are over the placements of ``s``, which also
     counts the nodes.  ``allowed`` lies within ``undom``, since a pick must
     be independent of the picks that left ``undom``.  Every scan takes the
-    highest bit first: the lowest placement, in the numbering ``_Search``
-    gives the graph.
+    highest bit first: the first placement in search order (``_Search``).
 
     One loop evaluates the entry and then each candidate's child, each with
     one walk of the packing of its undominated placements; the module
@@ -434,38 +463,42 @@ def _lex_first(s: _Search, allowed: int, found: tuple[int, ...]) -> list[int]:
 
     Every smaller size must be refuted, so cp is ``len(found)`` and no
     completion has fewer picks than it is asked for.  The masks and
-    ``found`` use the search's numbering (``_Search``), so the placements
-    above bit i lie below it.  Built one position at a time: each keeps the
-    lowest allowed candidate above the last pick that ``_complete`` can
-    extend by the picks still needed, all above it.  Each candidate is one
-    node.  The least member of the completion in hand passes without a
-    search when it is the next candidate.  The set sought lies within
-    ``allowed``, so every position finds its pick.
+    ``found`` use the search's numbering (``_Search``), and the scan runs
+    in placement order through ``pos``, passing each placement once in all.
+    Built one position at a time: each keeps the lowest allowed candidate
+    after the last pick that ``_complete`` can extend by the picks still
+    needed, all after it.  Each candidate is one node.  The least member of
+    the completion in hand passes without a search when it is the next
+    candidate.  The set sought lies within ``allowed``, so every position
+    finds its pick.
     """
-    notnbr, bit = s.notnbr, s.bit
-    top = len(notnbr) - 1
-    # Above every placement, so position 0 may take any allowed one.
-    low = 1 << len(notnbr)
-    undom = low - 1
+    notnbr, bit, perm, pos = s.notnbr, s.bit, s.perm, s.pos
+    undom = (1 << len(bit)) - 1
+    # The candidates not yet scanned.  A placement scanned that was no
+    # candidate is not allowed, or dominated for good, so ``u2 & rest``
+    # holds the candidates after the one scanned.
+    rest = allowed
+    # (placement, bit) in placement order; each position resumes it.
+    scan = enumerate(pos)
     picks = []
-    # The completion in hand, least member last.
-    ahead = sorted(found)
+    # The completion in hand, as placement indices, least member last.
+    ahead = sorted((perm[i] for i in found), reverse=True)
     for need in range(len(found) - 1, -1, -1):
-        c = undom & allowed & (low - 1)
-        while True:
-            i = c.bit_length() - 1
-            low = bit[i]
-            c ^= low
+        c = undom & allowed
+        for p, i in scan:
+            if not c >> i & 1:
+                continue
+            rest ^= bit[i]
             s.spend(1)
             u2 = undom & notnbr[i]
-            if ahead and ahead[-1] == i:
+            if ahead and ahead[-1] == p:
                 ahead.pop()
                 break
-            got = _complete(s, u2, u2 & allowed & (low - 1), need)
+            got = _complete(s, u2, u2 & rest, need)
             if got is not None:
-                ahead = sorted(got[0])
+                ahead = sorted((perm[j] for j in got[0]), reverse=True)
                 break
-        picks.append(top - i)
+        picks.append(p)
         undom = u2
     return picks
 
@@ -527,25 +560,69 @@ def _symmetry_group(shape: Shape, board: Board, mode: str) -> list[list[int]]:
     return list(maps.values())
 
 
-def _orbits(group: list[list[int]]) -> list[int]:
-    """Mask of each placement's orbit under the group, in the search's
-    numbering (``_Search``): orbit[top - p] is the orbit of placement p."""
-    top = len(group[0]) - 1
-    orbit = [0] * (top + 1)
-    for p in range(top + 1):
-        if not orbit[top - p]:
-            members = {top - g[p] for g in group}
-            m = 0
-            for j in members:
-                m |= 1 << j
-            for j in members:
-                orbit[j] = m
-    return orbit
+@functools.lru_cache(maxsize=64)
+def _depth_masks(n: int) -> tuple[int, ...]:
+    """The cell masks of the n x n board by depth: entry d - 1 holds the
+    cells whose distance to the nearest edge is at least d, for each d >= 1
+    that some cell reaches."""
+    masks = []
+    for d in range(1, (n + 1) // 2):
+        row = ((1 << (n - 2 * d)) - 1) << d
+        masks.append(sum(row << (r * n) for r in range(d, n - d)))
+    return tuple(masks)
+
+
+def _search_order(key: list[int]) -> list[int]:
+    """The placement indices in search order: by ``key``, ties by index."""
+    return sorted(range(len(key)), key=key.__getitem__)
+
+
+def _orbits(group: list[list[int]], masks: tuple[int, ...],
+            n: int) -> tuple[list[int], list[int], list[int]]:
+    """The search's numbering of the placements with cell masks ``masks``
+    on the n x n board, and the mask of each placement's orbit under
+    ``group`` in it: (perm, pos, orbit), where bit j is placement perm[j],
+    placement p is bit pos[p], and orbit[j] is the orbit of bit j.
+
+    The key of a placement is the depth of its deepest cell: the number of
+    the nested masks of ``_depth_masks`` that its mask meets.  The first
+    placement in ``_search_order`` gets the highest bit.  Every board
+    symmetry keeps depths, so the key is computed once per orbit, and an
+    orbit's highest bit is its least placement.
+    """
+    deeper = _depth_masks(n)
+    size = len(group[0])
+    key = [-1] * size
+    firsts = []
+    for p in range(size):
+        if key[p] < 0:
+            m, k = masks[p], 0
+            for d in deeper:
+                if not m & d:
+                    break
+                k += 1
+            for g in group:
+                key[g[p]] = k
+            firsts.append(p)
+    perm = _search_order(key)[::-1]
+    pos = [0] * size
+    for j, p in enumerate(perm):
+        pos[p] = j
+    orbit = [0] * size
+    for p in firsts:
+        members = {pos[g[p]] for g in group}
+        m = 0
+        for j in members:
+            m |= 1 << j
+        for j in members:
+            orbit[j] = m
+    return perm, pos, orbit
 
 
 def _construction(nbr: list[int], by_degree: bool = False) -> list[int]:
     """A maximal arrangement built most-constrained first, as indices of
-    the conflict graph ``nbr`` (the search's numbering in ``_Search``).
+    the conflict graph ``nbr`` (in placement order from the end, as a
+    ``_Search`` with no ``order`` numbers it).
 
     Until nothing is undominated, it takes the undominated placement with
     the fewest undominated dominators, scanned lowest first and stopping at
@@ -694,9 +771,8 @@ def greedy_upper_bound(shape: Shape, board: Board | None = None,
     picks = _incumbent(s)
     if len(picks) >= sweep.size:
         return sweep
-    top = len(s.bit) - 1
     return Arrangement(board, shape, mode, _placements_at(
-        shape, board, mode, sorted(top - i for i in picks)))
+        shape, board, mode, sorted(s.perm[i] for i in picks)))
 
 
 def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
@@ -706,23 +782,26 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
 
     Raises BudgetExceededError carrying the proved bracket when the node or
     time budget runs out first.  Its upper end comes from work done after
-    the stop, which no budget bounds: two constructions, each of which
-    grows with the instance (about 60-140 ms each on 1,740-5,032
-    placements on a 2-vCPU VM), and their repairs, each capped at
-    REPAIR_NODES nodes (3-25 ms each there).  A deadline stop overshoots
-    its time budget by that much: a budget of 0 takes about 0.18-0.34 s
-    on those boards, and 12 ms on straight(3) free on 9.
+    the stop, which no budget bounds: a conflict graph in placement order
+    (about 2-30 ms on 1,740-5,032 placements on a 2-vCPU VM), two
+    constructions on it, each of which grows with the instance (about
+    60-130 ms each there), and their repairs, each capped at REPAIR_NODES
+    nodes (2-13 ms each there).  A deadline stop overshoots its time budget
+    by that much: a budget of 0 takes about 0.15-0.37 s on those boards,
+    and 7-9 ms on straight(3) free on 9.
     """
     _check_budget(node_budget, time_budget)
     if board is None:
         board = default_board(shape)
     start = time.monotonic()
     sweep = _sweep(shape, board, mode)
-    s = _Search(_tables(shape, board, mode)[2], _symmetry_group(shape, board, mode),
+    _, masks, cells = _tables(shape, board, mode)
+    s = _Search(cells, _orbits(_symmetry_group(shape, board, mode), masks, board.n),
                 node_budget, time_budget)
     full = (1 << len(s.bit)) - 1
     s.upper = sweep.size
-    s.lower = _packing_bound(s.notfar, full)
+    # The walk in placement order is sometimes the larger.
+    s.lower = max(_packing_bound(s.notfar, full), _packing_bound(s.notfar, full, s.pos))
     # Every size below s.lower is refuted (the packing bound refutes those
     # below the start), and one call at s.lower refutes every size up to
     # it.  A success comes with the root's allowed mask as it stood before
@@ -745,11 +824,12 @@ def clumsy_number(shape: Shape, board: Board | None = None, mode: str = "free",
         found, allowed = hit
         got = _lex_first(s, allowed, found)
     except BudgetExceededError as exc:
-        # Only a stop pays for the constructions and their repairs; the
-        # upper end is then the size of greedy_upper_bound's arrangement.
-        # The repairs' nodes are their own, not the stop's.  Re-raised as it
-        # is, so no other exception becomes its context.
-        exc.upper = min(exc.upper, len(_incumbent(s)))
+        # Only a stop pays for the constructions and their repairs, on a
+        # graph in placement order; the upper end is then the size of
+        # greedy_upper_bound's arrangement.  The repairs' nodes are their
+        # own, not the stop's.  Re-raised as it is, so no other exception
+        # becomes its context.
+        exc.upper = min(exc.upper, len(_incumbent(_Search(cells, None, 0))))
         raise
     witness = Arrangement(board, shape, mode, _placements_at(shape, board, mode, got))
     return SolveResult(k, witness, s.nodes, time.monotonic() - start)

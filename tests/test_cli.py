@@ -71,12 +71,12 @@ class TestSolve:
         assert "cp in [" in out
 
     def test_closed_budget_stop_says_cp_is_proven(self, run_cli):
-        # One node short of the full solve (6,426 nodes) stops in the
+        # One node short of the full solve (3,104 nodes) stops in the
         # witness phase, where the construction's 6 pieces meet the proven
         # lower end.
         assert run_cli(["solve", "--family", "T", "--params", "1,1", "--board", "7",
-                        "--node-budget", "6425"]) == (
-            3, "budget exhausted after 6426 nodes: "
+                        "--node-budget", "3103"]) == (
+            3, "budget exhausted after 3104 nodes: "
                "cp = 6 proven, lex-first witness unfinished\n", "")
 
     def test_time_budget_exit(self, run_cli):
@@ -477,8 +477,8 @@ class TestParserReuse:
         assert "invalid int value: 'x'" in usage_err
         assert budget_code == 3 and budget_out[0].endswith("cp in [4, 6]")
         # The default budget comes back after a call that set its own.
-        assert cli.DEFAULT_NODE_BUDGET > 6426
-        assert (code, out[:2]) == (0, ["cp = 6", "nodes = 6426"])
+        assert cli.DEFAULT_NODE_BUDGET > 3104
+        assert (code, out[:2]) == (0, ["cp = 6", "nodes = 3104"])
         assert self.run_all(run_cli) == first
         assert cli._build_parser() is parser
         assert cli._build_parser.cache_info().misses == misses

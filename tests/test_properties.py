@@ -14,7 +14,7 @@ from clumsypack.packing import (Arrangement, Board, Placement, _orientation, _pl
                                 is_valid, placement_masks, validate)
 from clumsypack.solver import (ORACLE_SOFT_MAX_K, ORACLE_SOFT_PLACEMENTS,
                                BudgetExceededError, OracleGuardError, _complete,
-                               _conflict_graph, _indices, _packing_bound, _Search,
+                               _conflict_graph, _indices, _orbits, _packing_bound, _Search,
                                _symmetry_group, clumsy_number, greedy_upper_bound,
                                oracle_clumsy_number)
 
@@ -346,7 +346,12 @@ def test_packing_bound_is_a_lower_bound(instance):
     except OracleGuardError:
         assume(False)
     notfar = _conflict_graph(_tables(*instance)[2])[2]
-    assert _packing_bound(notfar, (1 << len(notfar)) - 1) <= want
+    full = (1 << len(notfar)) - 1
+    assert _packing_bound(notfar, full) <= want
+    # A walk in a given order: highest bit first is the default walk.
+    assert _packing_bound(notfar, full, range(len(notfar))) <= want
+    assert (_packing_bound(notfar, full, reversed(range(len(notfar))))
+            == _packing_bound(notfar, full))
 
 
 @SETTINGS
@@ -427,6 +432,24 @@ def test_symmetry_pruning_keeps_cp_and_witness(instance):
         mp.setattr(solver, "_symmetry_group", identity_group)
         got = clumsy_number(*instance)
     assert (got.clumsy_number, got.witness) == (want.clumsy_number, want.witness)
+
+
+@SETTINGS
+@given(wider_instances(), st.data())
+def test_search_order_keeps_cp_and_witness(instance, data):
+    # Neither a refutation nor a completion depends on the search's
+    # numbering: with the border-first order replaced by a random
+    # permutation, the solve gives the same cp and lex-first witness.
+    p = len(placement_masks(*instance)[0])
+    assume(p <= 64)
+    order = data.draw(st.permutations(range(p)))
+    want = clumsy_number(*instance)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_search_order", lambda key: list(order))
+        got = clumsy_number(*instance)
+    assert (got.clumsy_number, got.witness) == (want.clumsy_number, want.witness)
+    if math.comb(p, want.clumsy_number) <= ORACLE_SUBSET_LIMIT:
+        assert want.witness.placements == lex_first_maximal(*instance, want.clumsy_number)
 
 
 @SETTINGS
@@ -567,9 +590,10 @@ def test_complete_matches_brute_force(instance, data):
     # placements it leaves undominated, and an allowed subset of those.
     # Removing a random mask leaves most of them allowed, as in the search,
     # where narrowed nodes below the entry are common.
-    cells = _tables(*instance)[2][:40]
+    _, masks, cells = _tables(*instance)
+    cells = cells[:40]
     assume(cells)
-    s = _Search(cells, [list(range(len(cells)))], 10 ** 9)
+    s = _Search(cells, _orbits([list(range(len(cells)))], masks, instance[1].n), 10 ** 9)
     nbr, notnbr = s.nbr, s.notnbr
     undom = (1 << len(cells)) - 1
     for i in data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=4)):

@@ -15,11 +15,11 @@ from clumsypack.solver import (REPAIR_CALL_NODES, REPAIR_NODES, BudgetExceededEr
 
 def first_picks(shape, board, mode):
     """The least placement of each orbit.  The masks number placements
-    from the end, so placement i is bit top - i and an orbit's least
-    placement is its highest bit."""
+    border-first, so bit j is placement perm[j]; an orbit's members share
+    their depth, so its least placement is its highest bit."""
     group = _symmetry_group(shape, board, mode)
-    top = len(group[0]) - 1
-    return tuple(sorted({top - (orbit.bit_length() - 1) for orbit in _orbits(group)}))
+    perm, _, orbits = _orbits(group, _tables(shape, board, mode)[1], board.n)
+    return tuple(sorted({perm[orbit.bit_length() - 1] for orbit in orbits}))
 
 
 class TestStraights:
@@ -139,14 +139,14 @@ class TestLowerBound:
 # on 10, is the one pin whose witness phase tries, at position 0, placements
 # that are not the least of their orbits.
 NODE_COUNTS = [
-    (ell(9, 9), 19, "free", 2, 483),
-    (ell(3, 6), 10, "free", 3, 970),
-    (tee(1, 1), 7, "free", 6, 6426),
-    (ell(1, 3), 8, "free", 6, 26660),
-    (rect(2, 2), 9, "fixed", 9, 82),
-    (straight_v(4), 8, "free", 9, 173_727),
-    (ell(1, 2), 8, "free", 7, 110_980),
-    (rect(2, 2), 10, "fixed", 9, 58),
+    (ell(9, 9), 19, "free", 2, 360),
+    (ell(3, 6), 10, "free", 3, 737),
+    (tee(1, 1), 7, "free", 6, 3104),
+    (ell(1, 3), 8, "free", 6, 14_020),
+    (rect(2, 2), 9, "fixed", 9, 50),
+    (straight_v(4), 8, "free", 9, 164_721),
+    (ell(1, 2), 8, "free", 7, 36_904),
+    (rect(2, 2), 10, "fixed", 9, 56),
 ]
 
 # (shape, board, mode, node budget, lower, upper, nodes) of budget stops in
@@ -156,13 +156,13 @@ NODE_COUNTS = [
 # The construction with ties to the lowest placement gives 18, 7 and 6
 # before its repair and 17, 6 and 6 after; with ties to the fewest
 # neighbours, 17, 7 and 6 before and 16, 6 and 6 after.  straight(3) free
-# on 9 counts 4 nodes and then rejects 9 candidates of one narrowed node at
+# on 9 counts 1 node and then rejects 14 candidates of one narrowed node at
 # once; a budget of 8 falls inside that batch, and the stop still reports
 # one node past the budget.
 BUDGET_STOPS = [
     (straight_v(3), 9, "free", 1_000, 11, 16, 1_001),
     (ell(1, 3), 8, "free", 10_000, 5, 6, 10_001),
-    (tee(1, 1), 7, "free", 5_000, 6, 6, 5_001),
+    (tee(1, 1), 7, "free", 3_000, 6, 6, 3_001),
     (straight_v(3), 9, "free", 8, 9, 16, 9),
     # Deep refuter calls, as in the benchmark's 1M-node pass on this instance.
     (straight_v(3), 9, "free", 300_000, 14, 16, 300_001),
@@ -331,7 +331,7 @@ class TestBudget:
         # One spend may add many nodes: crossing node 1 or a multiple of
         # 4096 reads the clock wherever the count lands.  A search over no
         # placements holds just the budget and the bracket it reports.
-        s = _Search((), [[]], 10 ** 9, -1.0)
+        s = _Search((), None, 10 ** 9, -1.0)
         s.lower, s.upper = 3, 7
         with pytest.raises(BudgetExceededError) as ei:
             s.spend(5000)
@@ -339,11 +339,11 @@ class TestBudget:
 
     def test_one_node_ticks_read_the_clock_and_hold_the_node_budget(self):
         # The witness phase counts its candidates one at a time.
-        s = _Search((), [[]], 10 ** 9, -1.0)
+        s = _Search((), None, 10 ** 9, -1.0)
         with pytest.raises(BudgetExceededError) as ei:
             s.spend(1)
         assert (ei.value.lower, ei.value.upper, ei.value.nodes) == (0, None, 1)
-        s = _Search((), [[]], 2)
+        s = _Search((), None, 2)
         s.lower, s.upper = 4, 6
         s.spend(1)
         s.spend(1)
@@ -396,14 +396,16 @@ class TestBudget:
 def test_depth_beyond_the_recursion_limit():
     # Monominoes fixed on 33x33: the refuter's call at cp = 1,089 and the
     # witness phase both go 1,089 picks deep, far past Python's recursion
-    # limit.
+    # limit.  The search numbers the placements border-first, and the
+    # witness comes back in placement order: all of them.
     shape, board = rect(1, 1), Board(33)
-    s = _Search(_tables(shape, board, "fixed")[2], _symmetry_group(shape, board, "fixed"),
+    _, masks, cells = _tables(shape, board, "fixed")
+    s = _Search(cells, _orbits(_symmetry_group(shape, board, "fixed"), masks, board.n),
                 10 ** 9)
     full = (1 << len(s.bit)) - 1
     found, allowed = _complete(s, full, full, 1089)
     got = _lex_first(s, allowed, found)
-    assert len(found) == len(got) == 1089
+    assert len(found) == 1089 and got == list(range(1089))
     arr = Arrangement(board, shape, "fixed", _placements_at(shape, board, "fixed", got))
     assert is_valid(arr) and is_maximal(arr)
 
@@ -450,15 +452,23 @@ class TestSymmetry:
     def test_orbit_masks_are_closed_under_the_group(self, shape, n, mode):
         group = _symmetry_group(shape, Board(n), mode)
         assert group[0] == list(range(len(group[0])))
-        orbits = _orbits(group)
-        # The masks number placements from the end: placement i is bit
-        # top - i, and orbits[j] is the orbit of bit j.
-        top = len(group[0]) - 1
+        _, masks, cells = _tables(shape, Board(n), mode)
+        perm, pos, orbits = _orbits(group, masks, n)
+        # bit j is placement perm[j], placement p is bit pos[p], and
+        # orbits[j] is the orbit of bit j.
+        assert sorted(perm) == list(range(len(perm)))
+        assert all(pos[p] == j for j, p in enumerate(perm))
+        # Border-first from the highest bit: by the distance of the deepest
+        # cell to the nearest edge, ties by placement index.
+        depth = [max(min(b % n, n - 1 - b % n, b // n, n - 1 - b // n) for b in cs)
+                 for cs in cells]
+        first = perm[::-1]
+        assert first == sorted(first, key=lambda p: (depth[p], p))
         for j, orbit in enumerate(orbits):
             assert orbit >> j & 1
             for g in group:
                 moved = 0
                 for i in range(orbit.bit_length()):
                     if orbit >> i & 1:
-                        moved |= 1 << (top - g[top - i])
+                        moved |= 1 << pos[g[perm[i]]]
                 assert moved == orbit
